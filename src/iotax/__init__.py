@@ -8,6 +8,8 @@ point (:mod:`iotax.equilibrium`), tax construction and value accounting
 (:mod:`iotax.clearing`).  ``iotax.cli`` provides the batch front end.
 """
 
+import logging
+
 from . import errors
 from .clearing import (
     ClearingConfig,
@@ -66,6 +68,9 @@ from .taxation import (
 )
 
 __version__ = "0.1.0"
+
+# The library logs; the application decides whether records are shown.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "errors",

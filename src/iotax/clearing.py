@@ -18,7 +18,7 @@ the value share of unsold output under those generalized prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space
@@ -26,17 +26,18 @@ from scipy.optimize import nnls
 
 from ._qp import solve_qp
 from .equilibrium import Normalization, PriceVector, SolverConfig, solve_price_balance
-from .matcheck import is_irreducible
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
     DegenerateSupportError,
-    DimensionError,
     DomainError,
     NoEquilibriumError,
     NotASolutionError,
+    SingularSystemError,
     ZeroColumnError,
 )
+from .matcheck import gated_solve, is_irreducible
+from .model import _as_float_matrix, _as_float_vector
 
 # Equality-row detection band, relative to max(1, b_k).
 DEFAULT_EQ_TOL = 1e-9
@@ -54,11 +55,7 @@ class ClearingProblem:
     b: np.ndarray
 
     def __post_init__(self):
-        C = np.array(self.C, dtype=float)
-        if C.ndim != 2:
-            raise DimensionError(f"C must be a matrix, got shape {C.shape}")
-        if not np.all(np.isfinite(C)) or np.any(C < 0):
-            raise DomainError("C must be nonnegative with finite entries")
+        C = _as_float_matrix(self.C, "C", square=False)
         col_sums = C.sum(axis=0)
         if np.any(col_sums <= 0):
             i = int(np.argmin(col_sums))
@@ -67,11 +64,9 @@ class ClearingProblem:
         if np.any(row_sums <= 0):
             k = int(np.argmin(row_sums))
             raise ZeroColumnError(f"row {k} of C sums to zero")
-        b = np.array(self.b, dtype=float)
-        if b.shape != (C.shape[0],):
-            raise DimensionError(f"b has shape {b.shape}, expected ({C.shape[0]},)")
-        if not np.all(np.isfinite(b)) or np.any(b <= 0):
-            raise DomainError("b must be strictly positive with finite entries")
+        b = _as_float_vector(self.b, "b", C.shape[0])
+        if np.any(b <= 0):
+            raise DomainError("b must be strictly positive")
         C.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -84,6 +79,15 @@ class ClearingProblem:
     @property
     def l(self) -> int:
         return self.C.shape[1]
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Largest feasible step along each column: d_i = min over c_ki > 0 of b_k / c_ki."""
+        with np.errstate(divide="ignore"):
+            ratios = np.where(self.C > 0, self.b[:, np.newaxis] / self.C, np.inf)
+        d = ratios.min(axis=0)
+        d.setflags(write=False)
+        return d
 
 
 @dataclass(frozen=True)
@@ -167,10 +171,8 @@ class ClearingCheck:
 
 
 def ray_bounds(problem: ClearingProblem) -> np.ndarray:
-    """Largest feasible step along each column: d_i = min over c_ki > 0 of b_k / c_ki."""
-    with np.errstate(divide="ignore"):
-        ratios = np.where(problem.C > 0, problem.b[:, np.newaxis] / problem.C, np.inf)
-    return ratios.min(axis=0)
+    """Largest feasible step along each column (the problem's cached ``d``)."""
+    return problem.d
 
 
 def scale_function(problem: ClearingProblem, alpha) -> float:
@@ -181,20 +183,18 @@ def scale_function(problem: ClearingProblem, alpha) -> float:
     minimum (such rows produce values far above every unguarded row).
     """
     alpha = _validate_simplex(alpha, problem.l)
-    d = ray_bounds(problem)
-    denominator = problem.C @ (alpha * d)
-    eps = 1e-12 * float(np.max(problem.b))
+    denominator = problem.C @ (alpha * problem.d)
+    eps = 1e-12 * float(problem.b.max())
     guarded = np.maximum(denominator, eps)
-    return float(np.min(problem.b / guarded))
+    return float((problem.b / guarded).min())
 
 
 def solution_from_alpha(problem: ClearingProblem, alpha) -> SolutionFamily:
     """The clearing solution generated by a simplex point."""
     alpha = _validate_simplex(alpha, problem.l)
-    d = ray_bounds(problem)
     c_alpha = scale_function(problem, alpha)
-    z = c_alpha * alpha * d
-    return SolutionFamily(d=d, alpha=alpha, c_alpha=c_alpha, z=z)
+    z = c_alpha * alpha * problem.d
+    return SolutionFamily(d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z)
 
 
 def alpha_from_solution(problem: ClearingProblem, z,
@@ -204,9 +204,7 @@ def alpha_from_solution(problem: ClearingProblem, z,
     Raises NotASolutionError unless z is nonnegative, nonzero, feasible,
     and touches at least one row with equality.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (problem.l,):
-        raise DimensionError(f"z has shape {z.shape}, expected ({problem.l},)")
+    z = _as_float_vector(z, "z", problem.l)
     band = tol_eq * np.maximum(1.0, problem.b)
     if np.any(z < -tol_eq * max(1.0, float(np.max(np.abs(z))))):
         raise NotASolutionError("z has negative components")
@@ -217,8 +215,7 @@ def alpha_from_solution(problem: ClearingProblem, z,
         raise NotASolutionError("z violates C z <= b")
     if not np.any(slack <= band):
         raise NotASolutionError("no row of C z = b holds with equality")
-    d = ray_bounds(problem)
-    weights = np.maximum(z, 0.0) / d
+    weights = np.maximum(z, 0.0) / problem.d
     total = float(weights.sum())
     return weights / total, total
 
@@ -247,7 +244,7 @@ def min_excess_solution(problem: ClearingProblem,
         alpha, c_alpha = alpha_from_solution(problem, z_exact, tol_eq=cfg.tol_eq)
         residual = b - C @ z_exact
         return SolutionFamily(
-            d=ray_bounds(problem), alpha=alpha, c_alpha=c_alpha, z=z_exact,
+            d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z_exact,
             objective=float(residual @ residual), full_clearing=True,
             kkt_residual=_kkt_residual(C, b, z_exact, cfg),
         )
@@ -280,7 +277,7 @@ def min_excess_solution(problem: ClearingProblem,
     alpha, c_alpha = alpha_from_solution(problem, z, tol_eq=cfg.tol_eq)
     residual = b - C @ z
     return SolutionFamily(
-        d=ray_bounds(problem), alpha=alpha, c_alpha=c_alpha, z=z,
+        d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z,
         objective=float(residual @ residual), full_clearing=False, kkt_residual=kkt,
     )
 
@@ -370,22 +367,12 @@ def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarra
     target = b[rows]
     gate = SUPPORT_GATE * max(1.0, float(np.max(target)))
 
-    z_sub = None
     try:
-        candidate = np.linalg.solve(sub, target)
-        if float(np.max(np.abs(sub @ candidate - target))) <= gate:
-            if float(np.min(candidate)) < -gate:
-                return None  # the unique solution is not nonnegative
-            z_sub = candidate
-    except np.linalg.LinAlgError:
-        z_sub = None
-    if z_sub is None:
-        try:
-            z_sub, _ = nnls(sub, target)
-        except RuntimeError:
-            return None
-        if float(np.max(np.abs(sub @ z_sub - target))) > gate:
-            return None
+        z_sub, within_gate = gated_solve(sub, target, gate)
+    except SingularSystemError:
+        return None
+    if not within_gate or float(np.min(z_sub)) < -gate:
+        return None  # no solution, or the unique one is not nonnegative
     z = np.zeros(n)
     z[rows] = np.maximum(z_sub, 0.0)
     slack = b - A @ z
@@ -405,18 +392,12 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     """
     if cfg is None:
         cfg = ClearingConfig()
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    A = _as_float_matrix(A, "cost matrix")
     n = A.shape[0]
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise DimensionError(f"b has shape {b.shape}, expected ({n},)")
+    b = _as_float_vector(b, "b", n)
     if np.any(b <= 0):
         raise DomainError("b must be strictly positive")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise DimensionError(f"z has shape {z.shape}, expected ({n},)")
+    z = _as_float_vector(z, "z", n)
     if float(np.min(z)) < -cfg.tol_eq * max(1.0, float(np.max(np.abs(z)))):
         raise NotASolutionError("z has negative components")
     z = np.maximum(z, 0.0)
@@ -528,9 +509,7 @@ def _evaluate_rows(A, b, p, equality, tol) -> tuple[bool, tuple[RowCheck, ...]]:
 
 
 def _validate_simplex(alpha, l: int) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (l,):
-        raise DimensionError(f"alpha has shape {alpha.shape}, expected ({l},)")
-    if np.any(alpha < -1e-12) or abs(float(alpha.sum()) - 1.0) > 1e-9:
+    alpha = _as_float_vector(alpha, "alpha", l)
+    if alpha.min() < -1e-12 or abs(float(alpha.sum()) - 1.0) > 1e-9:
         raise DomainError("alpha must lie on the unit simplex")
     return np.maximum(alpha, 0.0)

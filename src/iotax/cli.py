@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import clearing as clr
 from . import taxation as tax
 from .equilibrium import SolverConfig, solve_price_balance
 from .errors import AnalysisError, InputError, NoEquilibriumError, ParseError
-from .matcheck import analyze_matrix
+from .matcheck import MatrixProfile, analyze_matrix
 from .model import (
     DEFAULT_BALANCE_TOL,
     EconomyModel,
@@ -35,7 +35,10 @@ from .model import (
     balance_residual,
     demand_regime,
     load_economy,
+    _as_float_matrix,
+    _as_float_vector,
     _read_json,
+    _read_text,
 )
 
 COMMANDS = ("validate", "tax-sustainable", "tax-perfect", "check-tax",
@@ -60,6 +63,7 @@ class ScenarioConfig:
     damping: float = 0.5
     out_path: Path | None = None
 
+    @cached_property
     def solver(self) -> SolverConfig:
         return SolverConfig(tol=min(self.tol, 1e-12), max_iter=self.max_iter,
                             damping=self.damping)
@@ -79,24 +83,19 @@ def _indices(s) -> list[int]:
 
 def load_vector(path: Path) -> np.ndarray:
     """Read a vector from JSON (array, or object with key z/pi/values) or plain text."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"vector file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, "vector file")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
         try:
-            return np.array([float(tok) for tok in text.replace(",", " ").split()])
+            doc = [float(tok) for tok in text.replace(",", " ").split()]
         except ValueError as exc:
             raise ParseError(f"{path}: not JSON and not a plain number list") from exc
-    if isinstance(doc, list):
-        return np.asarray(doc, dtype=float)
     if isinstance(doc, dict):
-        for key in ("z", "pi", "values"):
-            if key in doc:
-                return np.asarray(doc[key], dtype=float)
-    raise ParseError(f"{path}: expected a JSON array or an object with key z/pi/values")
+        doc = next((doc[key] for key in ("z", "pi", "values") if key in doc), None)
+    if not isinstance(doc, list):
+        raise ParseError(f"{path}: expected a JSON array or an object with key z/pi/values")
+    return _as_float_vector(doc, f"vector in {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,28 +148,38 @@ def _config_from_args(args, economy_path: Path) -> ScenarioConfig:
 
 
 def run(config: ScenarioConfig) -> tuple[int, dict]:
-    """Execute one scenario: print the human table, write --out, return (code, report)."""
-    try:
-        code, report, lines = _execute(config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT, {"error": str(exc)}
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT, {"error": str(exc)}
-    except AnalysisError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED, {"error": str(exc)}
+    """Execute one scenario: print the human table (an error or rejection
+    goes to standard error instead), write --out, return (code, report)."""
+    code, report, lines, failed = _run_scenario(config)
     for line in lines:
-        print(line)
-    if config.out_path is not None:
-        config.out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+        print(line, file=sys.stderr if failed else sys.stdout)
     return code, report
 
 
+def _run_scenario(config: ScenarioConfig) -> tuple[int, dict, list[str], bool]:
+    """Execute one scenario and write --out.
+
+    Returns (code, report, lines, failed); when ``failed`` is true, the one
+    line is the error or rejection message and nothing was written.
+    """
+    try:
+        code, report, lines = _execute(config)
+    except InputError as exc:
+        return EXIT_INPUT, {"error": str(exc)}, [f"error: {exc}"], True
+    except AnalysisError as exc:
+        return EXIT_REJECTED, {"error": str(exc)}, [f"rejected: {exc}"], True
+    if config.out_path is not None:
+        try:
+            config.out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
+        except OSError as exc:
+            return EXIT_INPUT, {"error": str(exc)}, [f"error: {exc}"], True
+    return code, report, lines, False
+
+
 def run_batch(args) -> int:
-    """Run one scenario per *.json file in a directory, in parallel."""
+    """Run one scenario per *.json file in a directory, one at a time in
+    sorted order; returns the worst exit code."""
     directory = Path(args.batch)
     if not directory.is_dir():
         print(f"error: batch directory not found: {directory}", file=sys.stderr)
@@ -181,26 +190,16 @@ def run_batch(args) -> int:
         return EXIT_INPUT
     out_dir = args.out
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(path: Path):
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    worst = EXIT_OK
+    for path in paths:
         config = _config_from_args(args, path)
         config.out_path = (out_dir / f"{path.stem}.report.json") if out_dir else None
-        try:
-            code, report, lines = _execute(config)
-        except InputError as exc:
-            return EXIT_INPUT, {"error": str(exc)}, [f"error: {exc}"]
-        except AnalysisError as exc:
-            return EXIT_REJECTED, {"error": str(exc)}, [f"rejected: {exc}"]
-        if config.out_path is not None:
-            config.out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
-        return code, report, lines
-
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        results = list(pool.map(one, paths))
-    worst = EXIT_OK
-    for path, (code, _, lines) in zip(paths, results):
+        code, _, lines, _ = _run_scenario(config)
         print(f"== {path.name} (exit {code}) ==")
         for line in lines:
             print(line)
@@ -221,6 +220,7 @@ def _execute(config: ScenarioConfig) -> tuple[int, dict, list[str]]:
     }.get(config.command)
     if handler is None:
         raise ParseError(f"unknown command {config.command!r}")
+    config.solver  # built here so a bad --tol, --max-iter or --damping fails every command
     return handler(config)
 
 
@@ -231,10 +231,10 @@ def _require(config: ScenarioConfig, attribute: str, flag: str) -> Path:
     return value
 
 
-def _structural_summary(model: EconomyModel, tol: float) -> tuple[dict, list[str], bool]:
+def _structural_summary(model: EconomyModel, profile: MatrixProfile,
+                        tol: float) -> tuple[dict, list[str], bool]:
     residual = balance_residual(model)
     regime = demand_regime(model, tol)
-    profile = analyze_matrix(model.A)
     summary = {
         "n": model.n,
         "balance_residual_max": _round12(float(np.max(np.abs(residual)))),
@@ -273,7 +273,7 @@ def _table_lines(rows: list[dict]) -> list[str]:
 
 def _cmd_validate(config: ScenarioConfig):
     model = load_economy(config.economy_path)
-    summary, lines, valid = _structural_summary(model, config.tol)
+    summary, lines, valid = _structural_summary(model, analyze_matrix(model.A), config.tol)
     report = {"command": "validate", **summary}
     if not valid:
         lines.append("balance identity does not hold at the requested tolerance")
@@ -282,7 +282,8 @@ def _cmd_validate(config: ScenarioConfig):
 
 
 def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVector):
-    price = solve_price_balance(model.A, system.z, config.solver())
+    """Report and table of a tax system, with the equilibrium prices for its z."""
+    price = solve_price_balance(model.A, system.z, config.solver)
     accounts = tax.value_accounts(model, price)
     scale = max(1.0, float(np.max(np.abs(accounts.X))))
     classification = tax.classify_industries(accounts, tol=1e-9 * scale)
@@ -305,13 +306,13 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     }
     lines = [f"tax system ({system.provenance.value}), scale_b = {system.scale_b:.12g}"]
     lines += _table_lines(rows)
-    return report, lines
+    return report, lines, price
 
 
 def _cmd_tax_perfect(config: ScenarioConfig):
     model = load_economy(config.economy_path)
     system = tax.perfect_tax(model, config.scale_b, tol=config.tol)
-    report, lines = _tax_report(config, model, system)
+    report, lines, _ = _tax_report(config, model, system)
     return EXIT_OK, report, lines
 
 
@@ -319,14 +320,14 @@ def _cmd_tax_sustainable(config: ScenarioConfig):
     model = load_economy(config.economy_path)
     z = load_vector(_require(config, "z_path", "--z"))
     system = tax.sustainable_tax(model, z, config.scale_b)
-    report, lines = _tax_report(config, model, system)
+    report, lines, _ = _tax_report(config, model, system)
     return EXIT_OK, report, lines
 
 
 def _cmd_check_tax(config: ScenarioConfig):
     model = load_economy(config.economy_path)
     rates = load_vector(_require(config, "pi_path", "--pi"))
-    result = tax.check_tax_sustainable(model, rates, config.solver())
+    result = tax.check_tax_sustainable(model, rates, config.solver)
     if not result.sustainable:
         report = {"command": "check-tax", "sustainable": False,
                   "failed_stage": result.failed_stage, "reason": result.reason}
@@ -349,7 +350,7 @@ def _equilibrium_inputs(config: ScenarioConfig, model: EconomyModel) -> np.ndarr
     """Generating vector for classify/subsidies: --pi, --z, or x (perfect)."""
     if config.pi_path is not None:
         rates = load_vector(config.pi_path)
-        result = tax.check_tax_sustainable(model, rates, config.solver())
+        result = tax.check_tax_sustainable(model, rates, config.solver)
         if not result.sustainable:
             raise AnalysisError(f"tax system is not sustainable: {result.reason}")
         return result.z
@@ -361,7 +362,7 @@ def _equilibrium_inputs(config: ScenarioConfig, model: EconomyModel) -> np.ndarr
 def _cmd_classify(config: ScenarioConfig):
     model = load_economy(config.economy_path)
     z = _equilibrium_inputs(config, model)
-    price = solve_price_balance(model.A, z, config.solver())
+    price = solve_price_balance(model.A, z, config.solver)
     accounts = tax.value_accounts(model, price)
     scale = max(1.0, float(np.max(np.abs(accounts.X))))
     classification = tax.classify_industries(accounts, tol=1e-9 * scale)
@@ -384,7 +385,7 @@ def _cmd_classify(config: ScenarioConfig):
 def _cmd_subsidies(config: ScenarioConfig):
     model = load_economy(config.economy_path)
     z = load_vector(config.z_path) if config.z_path is not None else model.x.copy()
-    price = solve_price_balance(model.A, z, config.solver())
+    price = solve_price_balance(model.A, z, config.solver)
     subsidies = tax.subsidy_requirements(model, z, price)
     report = {
         "command": "subsidies",
@@ -401,17 +402,16 @@ def _load_clearing(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     path = Path(config.economy_path)
     doc = _read_json(path) if path.suffix.lower() != ".csv" else None
     if doc is not None and "b" in doc and "A" in doc:
-        A = np.asarray(doc["A"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
-        return A, b
+        A = _as_float_matrix(doc["A"], "A")
+        return A, _as_float_vector(doc["b"], "b", A.shape[0])
     model = load_economy(config.economy_path)
-    rates = load_vector(_require(config, "pi_path", "--pi"))
+    rates = _as_float_vector(load_vector(_require(config, "pi_path", "--pi")), "pi", model.n)
     return np.asarray(model.A, dtype=float), (1.0 - rates) * model.x
 
 
 def _cmd_clear(config: ScenarioConfig):
     A, b = _load_clearing(config)
-    cfg = clr.ClearingConfig(solver=config.solver(), verify_tol=config.tol)
+    cfg = clr.ClearingConfig(solver=config.solver, verify_tol=config.tol)
     report: dict = {"command": "clear"}
     lines: list[str] = []
     if config.z_path is not None:
@@ -466,25 +466,27 @@ def _cmd_report(config: ScenarioConfig):
     classification, subsidies under a mixed regime, and the exact-clearing
     confirmation (excess supply zero under the constructed system)."""
     model = load_economy(config.economy_path)
-    summary, lines, valid = _structural_summary(model, config.tol)
+    profile = analyze_matrix(model.A)
+    summary, lines, valid = _structural_summary(model, profile, config.tol)
     report = {"command": "report", **summary}
     if not valid:
         lines.append("balance identity does not hold; no further analysis")
         return EXIT_REJECTED, report, lines
-    system = tax.perfect_tax(model, config.scale_b, tol=config.tol)
-    tax_report, tax_lines = _tax_report(config, model, system)
+    system = tax.perfect_tax(model, config.scale_b, profile=profile, tol=config.tol)
+    tax_report, tax_lines, price = _tax_report(config, model, system)
     tax_report.pop("command")
     report.update(tax_report)
     lines += tax_lines
 
     if summary["regime"] == RegimeKind.MIXED.value:
-        price = solve_price_balance(model.A, model.x, config.solver())
+        # The perfect system is generated by z = x, so `price` is already the
+        # equilibrium for the subsidy floor of z = x.
         subsidies = tax.subsidy_requirements(model, model.x, price)
         report["subsidies"] = [[k + 1, _round12(v)] for k, v in subsidies]
         lines += ["minimum subsidies:"]
         lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
 
-    cfg = clr.ClearingConfig(solver=config.solver())
+    cfg = clr.ClearingConfig(solver=config.solver)
     b = (1.0 - system.pi) * model.x
     equilibrium = clr.equilibrium_from_solution(model.A, b, system.scale_b * model.x, cfg)
     report["excess_supply"] = _round12(equilibrium.R)

@@ -20,13 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateInputError,
-    DimensionError,
-    DomainError,
-    NotEquilibriumError,
-)
+from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEquilibriumError
+from .model import _as_float_matrix, _as_float_vector
 
 
 class Normalization(Enum):
@@ -50,7 +45,7 @@ class SolverConfig:
     normalization: Normalization = Normalization.SUM_TO_ONE
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol}")
         if self.max_iter <= 0:
             raise DomainError(f"max_iter must be positive, got {self.max_iter}")
@@ -98,14 +93,6 @@ class MarkupResult(NamedTuple):
     margins: np.ndarray
 
 
-def _as_prices(p) -> np.ndarray:
-    return np.asarray(getattr(p, "p", p), dtype=float)
-
-
-def _as_rates(tax) -> np.ndarray:
-    return np.asarray(getattr(tax, "pi", tax), dtype=float)
-
-
 def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
                         p0=None, require_positive: bool = False) -> PriceVector:
     """Solve the price-balance system for a nonnegative matrix and vector.
@@ -125,17 +112,11 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
     """
     if cfg is None:
         cfg = SolverConfig()
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if np.any(A < 0):
-        raise DomainError("cost matrix must be nonnegative")
+    A = _as_float_matrix(A, "cost matrix")
     if not np.any(A > 0):
         raise DomainError("cost matrix must be nonzero")
     n = A.shape[0]
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise DimensionError(f"z has shape {z.shape}, expected ({n},)")
+    z = _as_float_vector(z, "z", n)
     if np.any(z < 0):
         raise DomainError("z must be nonnegative")
     w = A @ z
@@ -151,8 +132,8 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
     if p0 is None:
         p = np.full(n, 1.0 / n)
     else:
-        p = np.asarray(p0, dtype=float)
-        if p.shape != (n,) or np.any(p < 0) or p.sum() <= 0:
+        p = _as_float_vector(p0, "p0", n)
+        if np.any(p < 0) or p.sum() <= 0:
             raise DomainError("p0 must be a nonnegative vector with positive sum")
         p = p / p.sum()
 
@@ -219,8 +200,8 @@ def _least_squares_fixed_point(iteration: np.ndarray, cfg: SolverConfig) -> np.n
 
 def markup_condition(A, p, tol: float = 1e-12) -> MarkupResult:
     """Per-industry price margins p_k - (A^T p)_k and whether all exceed tol."""
-    A = np.asarray(A, dtype=float)
-    prices = _as_prices(p)
+    A = _as_float_matrix(A, "cost matrix")
+    prices = _as_float_vector(p, "prices", A.shape[0], held="p")
     margins = prices - A.T @ prices
     return MarkupResult(holds=bool(np.all(margins > tol)), margins=margins)
 
@@ -234,13 +215,11 @@ def verify_clearing(A, x, tax, p, tol: float = 1e-9) -> list[ClearingReportRow]:
     short; demand exceeding supply beyond the band means p is not an
     equilibrium and raises.
     """
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rates = _as_rates(tax)
-    prices = _as_prices(p)
+    A = _as_float_matrix(A, "cost matrix")
     n = A.shape[0]
-    if x.shape != (n,) or rates.shape != (n,) or prices.shape != (n,):
-        raise DimensionError("x, tax rates, and prices must all have length n")
+    x = _as_float_vector(x, "x", n)
+    rates = _as_float_vector(tax, "tax rates", n, held="pi")
+    prices = _as_float_vector(p, "prices", n, held="p")
 
     supply = (1.0 - rates) * x
     numerators = supply * prices

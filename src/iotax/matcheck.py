@@ -11,17 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-    NotProductiveError,
-    SingularSystemError,
-)
+from .errors import ConvergenceError, DomainError, NotProductiveError, SingularSystemError
+from .model import _as_float_matrix, _as_float_vector
 
 DEFAULT_TOL = 1e-10
 POWER_ITERATION_CAP = 10_000
@@ -54,26 +51,50 @@ class ConeMembership:
 class MatrixProfile:
     """Structural facts about a nonnegative cost matrix.
 
-    ``leontief_inverse`` is present iff the matrix is productive and then
-    solves (E - A) Y = E with nonnegative entries.
+    ``leontief_inverse`` is computed on first access: None unless the matrix
+    is productive, and then the nonnegative solution of (E - A) Y = E.
     """
 
     A: np.ndarray
     irreducible: bool
     spectral_radius: float
     productive: bool
-    leontief_inverse: np.ndarray | None
+
+    @cached_property
+    def leontief_inverse(self) -> np.ndarray | None:
+        if not self.productive:
+            return None
+        n = self.A.shape[0]
+        return np.linalg.solve(np.eye(n) - self.A, np.eye(n))
 
 
-def _validate_square_nonnegative(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("matrix contains non-finite entries")
-    if np.any(A < 0):
-        raise DomainError("matrix contains negative entries")
-    return A
+class GatedSolution(NamedTuple):
+    """Result of :func:`gated_solve`; ``within_gate`` tells whether ``z``
+    reproduces the right-hand side within the gate."""
+
+    z: np.ndarray
+    within_gate: bool
+
+
+def gated_solve(M: np.ndarray, rhs: np.ndarray, gate: float) -> GatedSolution:
+    """Solve M z = rhs under a gate on the residual max|M z - rhs|.
+
+    Takes the LU solution when M is nonsingular and that solution passes the
+    gate (it may then have negative entries); otherwise the nonnegative
+    least-squares solution, flagged by whether it passes.  Raises
+    SingularSystemError when the nonnegative solve itself fails.
+    """
+    try:
+        z = np.linalg.solve(M, rhs)
+        if float(np.max(np.abs(M @ z - rhs))) <= gate:
+            return GatedSolution(z=z, within_gate=True)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        z, _ = nnls(M, rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"nonnegative least-squares solve failed: {exc}") from exc
+    return GatedSolution(z=z, within_gate=float(np.max(np.abs(M @ z - rhs))) <= gate)
 
 
 def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
@@ -135,36 +156,28 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL,
 
 
 def analyze_matrix(A, tol: float = DEFAULT_TOL) -> MatrixProfile:
-    """Irreducibility, spectral radius, productivity, and Leontief inverse.
+    """Irreducibility, spectral radius and productivity.
 
-    Productive means spectral radius < 1 - tol; only then is the Leontief
-    inverse computed.
+    Productive means spectral radius < 1 - tol; only then does the
+    profile's Leontief inverse exist.
     """
-    A = _validate_square_nonnegative(A)
-    if tol <= 0:
+    A = _as_float_matrix(A, "matrix")
+    if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     rho = spectral_radius(A, tol=tol)
-    productive = rho < 1.0 - tol
-    leontief = None
-    if productive:
-        n = A.shape[0]
-        leontief = np.linalg.solve(np.eye(n) - A, np.eye(n))
-    A = A.copy()
     A.setflags(write=False)
     return MatrixProfile(
         A=A,
         irreducible=is_irreducible(A),
         spectral_radius=rho,
-        productive=productive,
-        leontief_inverse=leontief,
+        productive=rho < 1.0 - tol,
     )
 
 
 def cone_membership(profile: MatrixProfile, v, tol: float = 1e-9) -> ConeMembership:
     """Locate v relative to the cone of the columns of A(E-A)^(-1).
 
-    Solves A z = v (LU when A is nonsingular, nonnegative least squares
-    with a residual gate otherwise) and classifies by the signs of
+    Solves A z = v by :func:`gated_solve` and classifies by the signs of
     alpha = (E - A) z: Interior when every weight exceeds ``tol``,
     Boundary when none falls below ``-tol`` but some sit inside the band,
     Outside otherwise or when no nonnegative z reproduces v within the gate.
@@ -172,32 +185,17 @@ def cone_membership(profile: MatrixProfile, v, tol: float = 1e-9) -> ConeMembers
     if not profile.productive:
         raise NotProductiveError("cone membership requires a productive matrix")
     A = profile.A
-    v = np.asarray(v, dtype=float)
-    if v.shape != (A.shape[0],):
-        raise DimensionError(f"target vector has shape {v.shape}, expected ({A.shape[0]},)")
+    v = _as_float_vector(v, "target vector", A.shape[0])
     if np.any(v <= 0):
         raise DomainError("cone membership requires a strictly positive target vector")
 
-    gate = CONE_RESIDUAL_GATE * float(np.max(np.abs(v)))
-    z = None
-    try:
-        candidate = np.linalg.solve(A, v)
-        if float(np.max(np.abs(A @ candidate - v))) <= gate:
-            z = candidate
-    except np.linalg.LinAlgError:
-        z = None
-    if z is None:
-        try:
-            z, _ = nnls(A, v)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"nonnegative solve of A z = v failed: {exc}") from exc
-        if float(np.max(np.abs(A @ z - v))) > gate:
-            # No nonnegative z reproduces v, so no nonnegative weight vector
-            # exists either (alpha >= 0 would force z = (E-A)^(-1) alpha >= 0).
-            alpha = z - A @ z
-            return ConeMembership(region=ConeRegion.OUTSIDE, alpha=alpha, z=z)
-
+    solved = gated_solve(A, v, CONE_RESIDUAL_GATE * float(np.max(np.abs(v))))
+    z = solved.z
     alpha = z - A @ z
+    if not solved.within_gate:
+        # No nonnegative z reproduces v, so no nonnegative weight vector
+        # exists either (alpha >= 0 would force z = (E-A)^(-1) alpha >= 0).
+        return ConeMembership(region=ConeRegion.OUTSIDE, alpha=alpha, z=z)
     if np.all(alpha > tol):
         region = ConeRegion.INTERIOR
     elif np.all(alpha >= -tol):

@@ -53,14 +53,45 @@ class DemandRegime:
     J_set: frozenset[int] = frozenset()
 
 
-def _as_float_vector(value, name: str, n: int | None = None) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+def _as_float_vector(value, name: str, n: int | None = None, *,
+                     held: str | None = None) -> np.ndarray:
+    """Float copy of a finite one-dimensional vector, of length ``n`` if given.
+
+    ``held`` names the attribute through which a result object stands for
+    its vector (``"p"`` for a PriceVector, ``"pi"`` for a TaxVector).
+    """
+    if held is not None:
+        value = getattr(value, held, value)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a vector of numbers ({exc})") from exc
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise DimensionError(f"{name} has length {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _as_float_matrix(value, name: str, *, square: bool = True) -> np.ndarray:
+    """Float copy of a nonempty, finite, nonnegative matrix, square unless
+    ``square`` is False."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a rectangular array of numbers ({exc})") from exc
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        kind = "square" if square else "a matrix"
+        raise DimensionError(f"{name} must be {kind}, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionError(f"{name} has no entries")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} contains non-finite entries")
+    if np.any(arr < 0):
+        k, i = np.argwhere(arr < 0)[0]
+        raise DomainError(f"{name} entry [{k},{i}] = {arr[k, i]} is negative")
     return arr
 
 
@@ -75,20 +106,8 @@ class EconomyModel:
     m: np.ndarray
 
     def __post_init__(self):
-        try:
-            A = np.array(self.A, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DimensionError(f"cost matrix is not rectangular: {exc}") from exc
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"cost matrix must be square, got shape {A.shape}")
+        A = _as_float_matrix(self.A, "cost matrix")
         n = A.shape[0]
-        if n == 0:
-            raise DimensionError("economy must have at least one industry")
-        if not np.all(np.isfinite(A)):
-            raise DomainError("cost matrix contains non-finite entries")
-        if np.any(A < 0):
-            k, i = np.argwhere(A < 0)[0]
-            raise DomainError(f"cost matrix entry a[{k},{i}] = {A[k, i]} is negative")
         x = _as_float_vector(self.x, "x", n)
         if np.any(x <= 0):
             k = int(np.argmin(x))
@@ -123,8 +142,6 @@ def load_economy(source) -> EconomyModel:
         doc = source
     else:
         path = Path(source)
-        if not path.exists():
-            raise ParseError(f"scenario document not found: {path}")
         if path.suffix.lower() == ".csv":
             doc = _read_csv_scenario(path)
         else:
@@ -135,10 +152,22 @@ def load_economy(source) -> EconomyModel:
     return EconomyModel(A=doc["A"], x=doc["x"], c=doc["c"], e=doc["e"], m=doc["i"])
 
 
-def _read_json(path: Path) -> dict:
+def _read_text(path: Path, what: str = "scenario document") -> str:
+    """Contents of a UTF-8 text file; a file that is missing, unreadable or
+    not UTF-8 raises ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ParseError(f"{what} not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+
+
+def _read_json(path: Path, what: str = "scenario document") -> dict:
+    try:
+        doc = json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -147,10 +176,10 @@ def _read_json(path: Path) -> dict:
 
 
 def _read_csv_scenario(path: Path) -> dict:
+    lines = _read_text(path).splitlines()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [[float(cell) for cell in row if cell.strip() != ""]
-                    for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+        rows = [[float(cell) for cell in row if cell.strip() != ""]
+                for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric CSV cell ({exc})") from exc
     if not rows:
@@ -159,10 +188,7 @@ def _read_csv_scenario(path: Path) -> dict:
     if len(widths) != 1:
         raise ParseError(f"{path}: ragged CSV rows (widths {sorted(widths)})")
     sidecar = path.with_suffix(".json")
-    if not sidecar.exists():
-        raise ParseError(f"CSV matrix {path} requires a sidecar vector file {sidecar}")
-    doc = _read_json(sidecar)
-    doc = dict(doc)
+    doc = dict(_read_json(sidecar, f"sidecar vector file of CSV matrix {path}"))
     doc["A"] = rows
     return doc
 
@@ -184,7 +210,7 @@ def demand_regime(model: EconomyModel, tol: float = DEFAULT_BALANCE_TOL) -> Dema
     nonnegative side in ``I_set``.  INVALID is also returned in the
     degenerate case where every component is negative.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     scale = float(np.max(np.abs(model.x)))
     if float(np.max(np.abs(balance_residual(model)))) > tol * scale:

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .equilibrium import PriceVector, SolverConfig, solve_price_balance
 from .errors import (
@@ -32,16 +31,15 @@ from .errors import (
     BalanceError,
     ConditionViolationError,
     DegenerateInputError,
-    DimensionError,
     DomainError,
     NoSubsidiesNeededError,
     NotIrreducibleError,
     NotProductiveError,
     ScaleRangeError,
 )
-from .matcheck import MatrixProfile, analyze_matrix
-from .model import DEFAULT_BALANCE_TOL, EconomyModel, balance_residual, demand_regime
-from .model import RegimeKind
+from .matcheck import MatrixProfile, analyze_matrix, gated_solve
+from .model import DEFAULT_BALANCE_TOL, EconomyModel, RegimeKind, balance_residual, demand_regime
+from .model import _as_float_vector
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +72,7 @@ class TaxVector:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=float)
-        if pi.ndim != 1:
-            raise DimensionError(f"tax rates must form a vector, got shape {pi.shape}")
+        pi = _as_float_vector(self.pi, "tax rates")
         if np.any(pi <= 0) or np.any(pi >= 1):
             k = int(np.argmax((pi <= 0) | (pi >= 1)))
             raise DomainError(f"tax rate pi[{k}] = {pi[k]} lies outside the open interval (0, 1)")
@@ -187,6 +183,29 @@ def admissible_scale_bound(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.min(x / w))
 
 
+def _cost_denominator(model: EconomyModel, z: np.ndarray, name: str) -> np.ndarray:
+    """A z, which must be strictly positive to form tax rates."""
+    w = model.A @ z
+    if np.any(w <= 0):
+        raise DegenerateInputError(f"(A {name}) has a zero component; cannot form tax rates")
+    return w
+
+
+def _generated_tax(model: EconomyModel, z: np.ndarray, w: np.ndarray,
+                   scale_b: float | None, provenance: TaxProvenance) -> TaxVector:
+    """Rates pi = 1 - b w / x for w = A z, with the scale constant b checked
+    against (or defaulting to the midpoint of) its open admissible interval."""
+    bound = admissible_scale_bound(model.x, w)
+    if scale_b is None:
+        scale_b = bound / 2.0
+    elif not 0.0 < scale_b < bound:
+        raise ScaleRangeError(
+            f"scale constant {scale_b} outside the open admissible interval (0, {bound:.6g})"
+        )
+    pi = 1.0 - scale_b * w / model.x
+    return TaxVector(pi=pi, scale_b=float(scale_b), provenance=provenance, z=z)
+
+
 def sustainable_tax(model: EconomyModel, z, scale_b: float | None = None, *,
                     profile: MatrixProfile | None = None) -> TaxVector:
     """Build the tax system generated by a strictly positive vector z.
@@ -196,14 +215,10 @@ def sustainable_tax(model: EconomyModel, z, scale_b: float | None = None, *,
     defaults to the midpoint of its open admissible interval.
     """
     _require_irreducible_productive(model, profile)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.n,):
-        raise DimensionError(f"z has shape {z.shape}, expected ({model.n},)")
+    z = _as_float_vector(z, "z", model.n)
     if np.any(z <= 0):
         raise DomainError("the generating vector z must be strictly positive")
-    w = model.A @ z
-    if np.any(w <= 0):
-        raise DegenerateInputError("(A z) has a zero component; cannot form tax rates")
+    w = _cost_denominator(model, z, "z")
     bad = np.flatnonzero(~(z > w))
     if bad.size:
         ratios = ", ".join(f"z[{k}]/(Az)[{k}] = {z[k] / w[k]:.6g}" for k in bad)
@@ -211,16 +226,7 @@ def sustainable_tax(model: EconomyModel, z, scale_b: float | None = None, *,
             f"markup condition z_i > (A z)_i fails at industries {bad.tolist()} ({ratios})",
             indices=bad.tolist(),
         )
-    bound = admissible_scale_bound(model.x, w)
-    if scale_b is None:
-        scale_b = bound / 2.0
-    elif not 0.0 < scale_b < bound:
-        raise ScaleRangeError(
-            f"scale constant {scale_b} outside the open admissible interval (0, {bound:.6g})"
-        )
-    pi = 1.0 - scale_b * w / model.x
-    return TaxVector(pi=pi, scale_b=float(scale_b),
-                     provenance=TaxProvenance.SUSTAINABLE, z=z)
+    return _generated_tax(model, z, w, scale_b, TaxProvenance.SUSTAINABLE)
 
 
 def perfect_tax(model: EconomyModel, scale_b: float | None = None, *,
@@ -246,19 +252,8 @@ def perfect_tax(model: EconomyModel, scale_b: float | None = None, *,
             "will need subsidies under the perfect tax system",
             sorted(regime.J_set),
         )
-    w = model.A @ model.x
-    if np.any(w <= 0):
-        raise DegenerateInputError("(A x) has a zero component; cannot form tax rates")
-    bound = admissible_scale_bound(model.x, w)
-    if scale_b is None:
-        scale_b = bound / 2.0
-    elif not 0.0 < scale_b < bound:
-        raise ScaleRangeError(
-            f"scale constant {scale_b} outside the open admissible interval (0, {bound:.6g})"
-        )
-    pi = 1.0 - scale_b * w / model.x
-    return TaxVector(pi=pi, scale_b=float(scale_b),
-                     provenance=TaxProvenance.PERFECT, z=model.x)
+    w = _cost_denominator(model, model.x, "x")
+    return _generated_tax(model, model.x, w, scale_b, TaxProvenance.PERFECT)
 
 
 def check_tax_sustainable(model: EconomyModel, tax,
@@ -270,28 +265,17 @@ def check_tax_sustainable(model: EconomyModel, tax,
     exists within the residual gate and satisfies z > A z; the equilibrium
     prices are then solved and returned.
     """
-    rates = np.asarray(getattr(tax, "pi", tax), dtype=float)
-    if rates.shape != (model.n,):
-        raise DimensionError(f"tax rates have shape {rates.shape}, expected ({model.n},)")
+    rates = _as_float_vector(tax, "tax rates", model.n, held="pi")
     if np.any(rates <= 0) or np.any(rates >= 1):
         raise DomainError("tax rates must lie in the open interval (0, 1)")
     rhs = (1.0 - rates) * model.x
     gate = RECOVERY_RESIDUAL_GATE * float(np.max(rhs))
-
-    z = None
-    try:
-        candidate = np.linalg.solve(model.A, rhs)
-        if float(np.max(np.abs(model.A @ candidate - rhs))) <= gate:
-            z = candidate
-    except np.linalg.LinAlgError:
-        z = None
-    if z is None:
-        z, _ = nnls(model.A, rhs)
-        if float(np.max(np.abs(model.A @ z - rhs))) > gate:
-            return SustainabilityResult(
-                sustainable=False, failed_stage="solve",
-                reason="no nonnegative z solves A z = (1 - pi) o x within tolerance",
-            )
+    z, within_gate = gated_solve(model.A, rhs, gate)
+    if not within_gate:
+        return SustainabilityResult(
+            sustainable=False, failed_stage="solve",
+            reason="no nonnegative z solves A z = (1 - pi) o x within tolerance",
+        )
     if float(np.min(z)) < -gate:
         return SustainabilityResult(
             sustainable=False, failed_stage="solve",
@@ -310,9 +294,7 @@ def check_tax_sustainable(model: EconomyModel, tax,
 
 def value_accounts(model: EconomyModel, p) -> ValueAccounts:
     """Derive all value-indicator quantities from a nonnegative price vector."""
-    prices = np.asarray(getattr(p, "p", p), dtype=float)
-    if prices.shape != (model.n,):
-        raise DimensionError(f"prices have shape {prices.shape}, expected ({model.n},)")
+    prices = _as_float_vector(p, "prices", model.n, held="p")
     if np.any(prices < 0):
         raise DomainError("prices must be nonnegative")
     costs = model.A.T @ prices
@@ -361,12 +343,10 @@ def subsidy_requirements(model: EconomyModel, z, p) -> list[tuple[int, float]]:
     equilibrium prices for z; the subsidy floor there is
     x_k p_k ((A z)_k / z_k - 1).  All other industries map to zero.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.n,):
-        raise DimensionError(f"z has shape {z.shape}, expected ({model.n},)")
+    z = _as_float_vector(z, "z", model.n)
     if np.any(z <= 0):
         raise DomainError("the generating vector z must be strictly positive")
-    prices = np.asarray(getattr(p, "p", p), dtype=float)
+    prices = _as_float_vector(p, "prices", model.n, held="p")
     w = model.A @ z
     needy = np.flatnonzero(z / w < 1.0)
     if needy.size == model.n:
@@ -436,7 +416,7 @@ def industry_table(model: EconomyModel, tax: TaxVector, p,
 
     Industries are numbered from 1 in reports.
     """
-    prices = np.asarray(getattr(p, "p", p), dtype=float)
+    prices = _as_float_vector(p, "prices", model.n, held="p")
     if accounts is None:
         accounts = value_accounts(model, prices)
     if classification is None:
@@ -458,17 +438,3 @@ def industry_table(model: EconomyModel, tax: TaxVector, p,
         })
     return rows
 
-
-def table_to_tsv(rows: list[dict]) -> str:
-    """Render report rows as tab-separated text with 12 significant digits."""
-    if not rows:
-        return ""
-    columns = list(rows[0].keys())
-    lines = ["\t".join(columns)]
-    for row in rows:
-        cells = []
-        for key in columns:
-            value = row[key]
-            cells.append(f"{value:.12g}" if isinstance(value, float) else str(value))
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,16 @@
 """Command-line front end: dispatch, exit codes, reports, determinism, batch."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E1_DOC, SUBSIDY_DOC
 from iotax.cli import main
@@ -199,3 +206,124 @@ def test_twelve_significant_digits(tmp_path):
     report = json.loads(out.read_text())
     assert report["p"][0] == pytest.approx(4.0 / 7.0, abs=1e-11)
     assert report["p"][0] == float(f"{report['p'][0]:.12g}")
+
+
+@pytest.mark.parametrize("case", [
+    "nan-z-subsidies", "nan-z-classify", "non-numeric-pi", "non-utf8-document",
+    "directory-economy", "out-in-missing-directory", "batch-out-is-a-file", "short-pi-clear",
+])
+def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
+    nan_z = _write(tmp_path, "z.json", [float("nan"), 1.0])
+    word_pi = _write(tmp_path, "pi.json", [0.5, "half"])
+    short_pi = _write(tmp_path, "short_pi.json", [0.5])
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(E1_DOC).encode() + b" \xe9")
+    argv = {
+        "nan-z-subsidies": ["subsidies", "--economy", e1_path, "--z", nan_z],
+        "nan-z-classify": ["classify", "--economy", e1_path, "--z", nan_z],
+        "non-numeric-pi": ["check-tax", "--economy", e1_path, "--pi", word_pi],
+        "non-utf8-document": ["validate", "--economy", latin1],
+        "directory-economy": ["validate", "--economy", tmp_path],
+        "out-in-missing-directory": ["validate", "--economy", e1_path,
+                                     "--out", tmp_path / "missing" / "report.json"],
+        "batch-out-is-a-file": ["validate", "--batch", tmp_path, "--out", e1_path],
+        # A length-1 rate vector must not broadcast over every industry.
+        "short-pi-clear": ["clear", "--economy", e1_path, "--pi", short_pi],
+    }[case]
+    assert main([str(arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    if case == "short-pi-clear":
+        assert "length 1, expected 2" in captured.err
+
+
+# Malformed inputs for the property test below.  Every draw is wrong in a
+# way the CLI must reject; valid neighbours (a numeric string such as "1",
+# a boolean inside a list) are left out because numpy reads them as numbers.
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False, width=32)
+_WORD = st.text(alphabet="abcdxyz", min_size=1, max_size=4)
+_NOT_NUMBER = st.none() | _WORD | st.dictionaries(_WORD, _NUMBER, max_size=2)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_BAD_ANY = st.one_of(  # wrong for a vector and for a matrix
+    _NOT_NUMBER,
+    _NUMBER,
+    st.tuples(_NUMBER, _NON_FINITE | _NOT_NUMBER).map(list),
+)
+_BAD_VECTOR = st.one_of(
+    _BAD_ANY,
+    st.lists(_NUMBER, max_size=4).filter(lambda v: len(v) != 2),
+    st.lists(st.lists(_NUMBER, min_size=1, max_size=2), min_size=2, max_size=2),
+)
+_BAD_MATRIX = st.one_of(
+    _BAD_ANY,
+    st.lists(_NUMBER, max_size=4),
+    st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=4).filter(lambda m: len(m) != 2),
+    st.just([[0.0, 0.5], [0.5]]),
+    _NON_FINITE.map(lambda v: [[0.0, v], [0.5, 0.0]]),
+    st.floats(max_value=-1e-6, allow_infinity=False).map(lambda v: [[0.0, v], [0.5, 0.0]]),
+)
+_BAD_OUTPUT = st.tuples(st.floats(max_value=0.0, allow_infinity=False), st.just(2.0)).map(list)
+_NO_VECTOR_COMMANDS = ["validate", "tax-perfect", "classify", "subsidies", "report"]
+
+
+def _malformed_argv(data, tmp: Path) -> list[str]:
+    economy = tmp / "economy.json"
+    economy.write_text(json.dumps(E1_DOC))
+    kind = data.draw(st.sampled_from(
+        ["document", "field", "vector", "flag", "scale", "path", "out"]))
+    if kind == "document":
+        economy.write_bytes(data.draw(
+            st.binary(max_size=40) | st.text(max_size=40).map(str.encode)))
+        command = data.draw(st.sampled_from(_NO_VECTOR_COMMANDS + ["clear"]))
+        return [command, "--economy", str(economy)]
+    if kind == "field":
+        key = data.draw(st.sampled_from(["A", "x", "c", "e", "i"]))
+        value = data.draw({"A": _BAD_MATRIX, "x": _BAD_VECTOR | _BAD_OUTPUT}.get(key, _BAD_VECTOR))
+        economy.write_text(json.dumps(dict(E1_DOC, **{key: value})))
+        return [data.draw(st.sampled_from(_NO_VECTOR_COMMANDS)), "--economy", str(economy)]
+    if kind == "vector":
+        command, flag = data.draw(st.sampled_from([
+            ("subsidies", "--z"), ("classify", "--z"), ("tax-sustainable", "--z"),
+            ("check-tax", "--pi"), ("classify", "--pi"), ("clear", "--pi")]))
+        vector = tmp / "vector.json"
+        vector.write_bytes(data.draw(st.one_of(
+            _BAD_VECTOR.map(lambda v: json.dumps(v).encode()),
+            st.text(alphabet="abcxyz{}[]:,\" ", max_size=12).map(str.encode),
+            st.binary(max_size=12).map(lambda raw: b"\xff" + raw),
+        )))
+        return [command, "--economy", str(economy), flag, str(vector)]
+    if kind == "flag":
+        flag, value = data.draw(st.one_of(
+            st.tuples(st.just("--tol"), st.floats(max_value=0.0) | st.just(math.nan)),
+            st.tuples(st.just("--max-iter"), st.integers(max_value=0)),
+            st.tuples(st.just("--damping"), st.floats(max_value=0.0)
+                      | st.floats(min_value=1.0, exclude_min=True) | st.just(math.nan)),
+        ))
+        command = data.draw(st.sampled_from(_NO_VECTOR_COMMANDS))
+        return [command, "--economy", str(economy), f"{flag}={value!r}"]
+    if kind == "scale":
+        # E1 admits scale constants in the open interval (0, 2).
+        value = data.draw(st.floats(max_value=0.0) | st.floats(min_value=2.0) | st.just(math.nan))
+        command = data.draw(st.sampled_from(["tax-perfect", "report"]))
+        return [command, "--economy", str(economy), f"--scale-b={value!r}"]
+    if kind == "path":
+        command = data.draw(st.sampled_from(_NO_VECTOR_COMMANDS + ["clear"]))
+        target = data.draw(st.sampled_from([tmp, tmp / "missing.json"]))
+        return [command, "--economy", str(target)]
+    command = data.draw(st.sampled_from(["validate", "tax-perfect", "classify", "report"]))
+    return [command, "--economy", str(economy), "--out", str(tmp / "missing" / "out.json")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_malformed_input_gets_one_line_typed_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _malformed_argv(data, Path(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (1, 2), argv
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,5 +1,7 @@
 """Tax construction, the sustainability test, value accounts, and subsidies."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from iotax.errors import (
     NotIrreducibleError,
     ScaleRangeError,
 )
-from iotax.taxation import industry_table, table_to_tsv
+from iotax.taxation import industry_table
 
 
 def test_sustainable_tax_symmetric(e1):
@@ -104,6 +106,19 @@ def test_perfect_tax_scale_interval_mixed(subsidy_economy):
         perfect_tax(subsidy_economy, scale_b=0.7)
     tax = perfect_tax(subsidy_economy)
     assert abs(tax.scale_b - 1.0 / 3.0) < 1e-12
+
+
+def test_mixed_regime_warning_is_logged_not_printed(subsidy_economy, capfd, caplog,
+                                                     monkeypatch):
+    with monkeypatch.context() as patch:
+        # An application that configures no logging: a record that no
+        # handler takes would reach stderr through logging's last resort.
+        patch.setattr(logging.root, "handlers", [])
+        perfect_tax(subsidy_economy)
+    assert capfd.readouterr().err == ""
+    with caplog.at_level(logging.WARNING, logger="iotax"):
+        perfect_tax(subsidy_economy)
+    assert "mixed demand regime" in caplog.text
 
 
 def test_value_accounts_e1(e1):
@@ -319,6 +334,3 @@ def test_industry_table_and_tsv(e1):
     rows = industry_table(e1, tax, [0.5, 0.5])
     assert [row["industry"] for row in rows] == [1, 2]
     assert rows[0]["class"] == "I"
-    text = table_to_tsv(rows)
-    assert text.splitlines()[0].startswith("industry\tpi")
-    assert len(text.splitlines()) == 3
