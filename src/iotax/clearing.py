@@ -17,7 +17,7 @@ the value share of unsold output under those generalized prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from ._qp import solve_qp
-from .equilibrium import Normalization, PriceVector, SolverConfig, solve_price_balance
+from .equilibrium import PriceVector, SolverConfig, solve_price_balance
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -390,6 +390,19 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     demand system against the original b, and assembles generalized prices
     and the excess supply level.
     """
+    return _equilibrium(A, b, z, None, cfg)
+
+
+def equilibrium_at_prices(A, b, z, price: PriceVector,
+                          cfg: ClearingConfig | None = None) -> ClearingEquilibrium:
+    """:func:`equilibrium_from_solution` at prices already solved for z (or
+    any positive multiple of z); they must vanish on the rows that do not
+    clear."""
+    return _equilibrium(A, b, z, price, cfg)
+
+
+def _equilibrium(A, b, z, price: PriceVector | None,
+                 cfg: ClearingConfig | None) -> ClearingEquilibrium:
     if cfg is None:
         cfg = ClearingConfig()
     A = _as_float_matrix(A, "cost matrix")
@@ -413,26 +426,20 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     if I.size == 0:
         raise DegenerateSupportError("no row of A z = b holds with equality")
 
-    if J.size == 0:
-        try:
-            price = solve_price_balance(A, z, cfg.solver)
-        except (DegenerateInputError, DomainError, ConvergenceError) as exc:
-            raise NoEquilibriumError(f"price solve failed: {exc}") from exc
-    else:
+    if price is None:
         sub = A[np.ix_(I, I)]
         # Strict positivity is guaranteed (and asserted) only on an
         # irreducible block with fully positive z; otherwise zeros are legal.
         strict = bool(np.all(z[I] > 0)) and is_irreducible(sub)
         try:
-            restricted = solve_price_balance(sub, z[I], cfg.solver,
-                                             require_positive=strict)
+            restricted = solve_price_balance(sub, z[I], cfg.solver, require_positive=strict)
         except (DegenerateInputError, DomainError, ConvergenceError) as exc:
             raise NoEquilibriumError(f"restricted price solve failed: {exc}") from exc
         p = np.zeros(n)
         p[I] = restricted.p
-        price = PriceVector(p=p, normalization=Normalization.SUM_TO_ONE,
-                            lambda_residual=restricted.lambda_residual,
-                            fp_residual=restricted.fp_residual)
+        price = replace(restricted, p=p)
+    elif np.any(price.p[J] != 0):
+        raise NoEquilibriumError("prices must vanish on the rows that do not clear")
 
     ok, rows = _evaluate_rows(A, b, price.p, equality, cfg.verify_tol)
     if not ok:
@@ -448,15 +455,9 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     # Equality rows may overshoot b by band noise; feasibility was already
     # gated, so a negative value here is noise and R stays in [0, 1).
     R = max(0.0, float((b - b_bar) @ p_u / (b @ p_u)))
-    return ClearingEquilibrium(
-        z=z,
-        I_set=frozenset(int(k) for k in I),
-        J_set=frozenset(int(k) for k in J),
-        b_bar=b_bar,
-        p=price,
-        p_u=p_u,
-        R=R,
-    )
+    return ClearingEquilibrium(z=z, I_set=frozenset(int(k) for k in I),
+                               J_set=frozenset(int(k) for k in J), b_bar=b_bar,
+                               p=price, p_u=p_u, R=R)
 
 
 def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,

@@ -59,14 +59,11 @@ class ScenarioConfig:
     pi_path: Path | None = None
     scale_b: float | None = None
     tol: float = DEFAULT_BALANCE_TOL
-    max_iter: int = 100_000
-    damping: float = 0.5
     out_path: Path | None = None
 
     @cached_property
     def solver(self) -> SolverConfig:
-        return SolverConfig(tol=min(self.tol, 1e-12), max_iter=self.max_iter,
-                            damping=self.damping)
+        return SolverConfig(tol=min(self.tol, 1e-12))
 
 
 def _round12(value: float) -> float:
@@ -98,8 +95,15 @@ def load_vector(path: Path) -> np.ndarray:
     return _as_float_vector(doc, f"vector in {path}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ParseError, one line, not usage text."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="iotax",
         description="Taxation systems, price equilibria, and market clearing "
                     "for input-output economies.",
@@ -111,23 +115,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pi", dest="pi_path", type=Path, help="external tax-rate vector")
     parser.add_argument("--scale-b", type=float, default=None, help="tax scale constant (default: interval midpoint)")
     parser.add_argument("--tol", type=float, default=DEFAULT_BALANCE_TOL, help="balance/verification tolerance")
-    parser.add_argument("--max-iter", type=int, default=100_000, help="iteration cap for the price solver")
-    parser.add_argument("--damping", type=float, default=0.5, help="price-solver damping in (0, 1]")
     parser.add_argument("--out", type=Path, default=None, help="write the structured JSON report here (a directory in batch mode)")
     parser.add_argument("--batch", type=Path, default=None, help="process every *.json scenario in a directory")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.batch is not None:
-        code = run_batch(args)
+    try:
+        args = build_parser().parse_args(argv)
+        if args.batch is None and args.economy is None:
+            raise ParseError("--economy PATH is required (or use --batch DIR)")
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
     else:
-        if args.economy is None:
-            print("error: --economy PATH is required (or use --batch DIR)", file=sys.stderr)
-            return EXIT_INPUT
-        config = _config_from_args(args, args.economy)
-        code, _ = run(config)
+        code = (run_batch(args) if args.batch is not None
+                else run(_config_from_args(args, args.economy))[0])
     if argv is None:  # invoked as a console script
         sys.exit(code)
     return code
@@ -141,8 +144,6 @@ def _config_from_args(args, economy_path: Path) -> ScenarioConfig:
         pi_path=args.pi_path,
         scale_b=args.scale_b,
         tol=args.tol,
-        max_iter=args.max_iter,
-        damping=args.damping,
         out_path=args.out,
     )
 
@@ -220,7 +221,7 @@ def _execute(config: ScenarioConfig) -> tuple[int, dict, list[str]]:
     }.get(config.command)
     if handler is None:
         raise ParseError(f"unknown command {config.command!r}")
-    config.solver  # built here so a bad --tol, --max-iter or --damping fails every command
+    config.solver  # the price gate; built here so that a bad --tol fails every command
     return handler(config)
 
 
@@ -486,9 +487,10 @@ def _cmd_report(config: ScenarioConfig):
         lines += ["minimum subsidies:"]
         lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
 
-    cfg = clr.ClearingConfig(solver=config.solver)
+    # Prices are scale-invariant in z, so the tax table's prices (z = x) are
+    # the equilibrium prices of the clearing solution z = scale_b * x.
     b = (1.0 - system.pi) * model.x
-    equilibrium = clr.equilibrium_from_solution(model.A, b, system.scale_b * model.x, cfg)
+    equilibrium = clr.equilibrium_at_prices(model.A, b, system.scale_b * model.x, price)
     report["excess_supply"] = _round12(equilibrium.R)
     lines.append(f"excess supply under this system: {equilibrium.R:.12g}")
     return EXIT_OK, report, lines

@@ -18,6 +18,7 @@ from iotax import (
     support_solution,
     verify_partial_clearing,
 )
+from iotax.clearing import equilibrium_at_prices
 from iotax.errors import (
     DegenerateSupportError,
     NoEquilibriumError,
@@ -239,6 +240,18 @@ def test_equilibrium_full_clearing():
     assert equilibrium.R == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(equilibrium.p.p, [0.5, 0.5], atol=1e-12)
     assert verify_partial_clearing(A, b, equilibrium)
+
+
+def test_equilibrium_at_known_prices():
+    # The same equilibrium from prices solved elsewhere; prices that do not
+    # vanish on the slack row are refused.
+    solved = equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25])
+    reused = equilibrium_at_prices(A_FIX, B_FIX, [0.0, 0.25], solved.p)
+    assert reused.R == solved.R and np.array_equal(reused.p_u, solved.p_u)
+    wrong = PriceVector(p=[0.5, 0.5], normalization=solved.p.normalization,
+                        lambda_residual=0.0, fp_residual=0.0)
+    with pytest.raises(NoEquilibriumError, match="vanish"):
+        equilibrium_at_prices(A_FIX, B_FIX, [0.0, 0.25], wrong)
 
 
 def test_equilibrium_zero_solution_rejected():

@@ -211,6 +211,7 @@ def test_twelve_significant_digits(tmp_path):
 @pytest.mark.parametrize("case", [
     "nan-z-subsidies", "nan-z-classify", "non-numeric-pi", "non-utf8-document",
     "directory-economy", "out-in-missing-directory", "batch-out-is-a-file", "short-pi-clear",
+    "unparseable-tol", "removed-damping-flag",
 ])
 def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
     nan_z = _write(tmp_path, "z.json", [float("nan"), 1.0])
@@ -229,6 +230,9 @@ def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
         "batch-out-is-a-file": ["validate", "--batch", tmp_path, "--out", e1_path],
         # A length-1 rate vector must not broadcast over every industry.
         "short-pi-clear": ["clear", "--economy", e1_path, "--pi", short_pi],
+        # Command-line errors get the same one line instead of the usage text.
+        "unparseable-tol": ["validate", "--economy", e1_path, "--tol", "abc"],
+        "removed-damping-flag": ["validate", "--economy", e1_path, "--damping", "0.5"],
     }[case]
     assert main([str(arg) for arg in argv]) == 1
     captured = capsys.readouterr()
@@ -237,6 +241,17 @@ def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
     assert captured.err.startswith("error: ")
     if case == "short-pi-clear":
         assert "length 1, expected 2" in captured.err
+    if case == "unparseable-tol":
+        assert "invalid float value: 'abc'" in captured.err
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: iotax") and "--tol TOL" in captured.out
+    assert captured.err == ""
 
 
 # Malformed inputs for the property test below.  Every draw is wrong in a
@@ -295,14 +310,16 @@ def _malformed_argv(data, tmp: Path) -> list[str]:
         )))
         return [command, "--economy", str(economy), flag, str(vector)]
     if kind == "flag":
-        flag, value = data.draw(st.one_of(
-            st.tuples(st.just("--tol"), st.floats(max_value=0.0) | st.just(math.nan)),
-            st.tuples(st.just("--max-iter"), st.integers(max_value=0)),
-            st.tuples(st.just("--damping"), st.floats(max_value=0.0)
-                      | st.floats(min_value=1.0, exclude_min=True) | st.just(math.nan)),
+        # Values argparse parses but the solver rejects, values argparse
+        # cannot parse, and flags it does not know.
+        option = data.draw(st.one_of(
+            (st.floats(max_value=0.0) | st.just(math.nan)).map(lambda v: f"--tol={v!r}"),
+            st.sampled_from(["--tol=abc", "--scale-b=x", "--tol=", "--scale-b=1,5"]),
+            st.sampled_from(["--max-iter=10", "--damping=0.5", "--verbose"]),
+            _WORD.map(lambda word: f"--no-{word}"),
         ))
         command = data.draw(st.sampled_from(_NO_VECTOR_COMMANDS))
-        return [command, "--economy", str(economy), f"{flag}={value!r}"]
+        return [command, "--economy", str(economy), option]
     if kind == "scale":
         # E1 admits scale constants in the open interval (0, 2).
         value = data.draw(st.floats(max_value=0.0) | st.floats(min_value=2.0) | st.just(math.nan))

@@ -1,5 +1,7 @@
 """Price-balance fixed point solver and clearing verification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,20 +65,6 @@ def test_lambda_and_residual_properties():
         assert price.fp_residual <= 1e-12
         assert np.min(price.p) > 0  # irreducible with z > 0
         assert abs(price.p.sum() - 1.0) <= 1e-12  # sum-to-one normalization
-
-
-def test_uniqueness_from_random_starts():
-    rng = np.random.default_rng(29)
-    cfg = SolverConfig()
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        A = random_irreducible_productive(rng, n)
-        z = rng.uniform(0.5, 2.0, size=n)
-        reference = solve_price_balance(A, z, cfg).p
-        for _ in range(4):
-            start = rng.uniform(0.1, 1.0, size=n)
-            other = solve_price_balance(A, z, cfg, p0=start).p
-            assert np.max(np.abs(other - reference)) <= 10 * cfg.tol
 
 
 def test_duality_with_z():
@@ -162,10 +150,101 @@ def test_require_positive_flag():
         solve_price_balance(A, [1.0, 1.0], require_positive=True)
 
 
-def test_least_squares_fallback_direct():
-    # The null-vector fallback must reproduce the known fixed point.
-    from iotax.equilibrium import _least_squares_fixed_point
+def _gth_exact(P):
+    """Stationary vector of a row-stochastic matrix by GTH elimination in
+    exact rational arithmetic: the reference for small chains."""
+    M = [[Fraction(v) for v in row] for row in P]
+    n = len(M)
+    for k in range(n - 1, 0, -1):
+        outflow = sum(M[k][:k])
+        for i in range(k):
+            M[i][k] /= outflow
+        for i in range(k):
+            for j in range(k):
+                M[i][j] += M[i][k] * M[k][j]
+    pi = [Fraction(1)]
+    for k in range(1, n):
+        pi.append(sum(pi[i] * M[i][k] for i in range(k)))
+    return pi
 
-    iteration = np.array([[0.0, 1.0], [1.0, 0.0]])  # V^T for the symmetric case
-    p = _least_squares_fixed_point(iteration, SolverConfig())
-    assert np.allclose(p, [0.5, 0.5], atol=1e-12)
+
+def _exact_prices(A, z):
+    """p = pi / (A z) for the chain P[k, i] = a_ki z_i / (A z)_k, exactly,
+    scaled to sum one.  The float entries of A and z are taken as exact."""
+    n = len(z)
+    A = [[Fraction(v) for v in row] for row in np.asarray(A, dtype=float)]
+    z = [Fraction(v) for v in np.asarray(z, dtype=float)]
+    w = [sum(A[k][i] * z[i] for i in range(n)) for k in range(n)]
+    P = [[A[k][i] * z[i] / w[k] for i in range(n)] for k in range(n)]
+    p = [pi / w_k for pi, w_k in zip(_gth_exact(P), w)]
+    total = sum(p)
+    return np.array([float(v / total) for v in p])
+
+
+def _forward_error(p, exact):
+    return float(np.max(np.abs(p / p.sum() - exact)) / np.max(exact))
+
+
+def test_prices_match_exact_elimination_on_random_chains():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        A = random_irreducible_productive(rng, n) if n > 1 else np.array([[0.5]])
+        z = rng.uniform(0.2, 2.0, size=n)
+        assert _forward_error(solve_price_balance(A, z).p, _exact_prices(A, z)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_prices_exact_on_nearly_uncoupled_blocks(n):
+    # Two dense blocks coupled by 1e-12: the chain crosses between them about
+    # once in 1e12 steps, so a residual below 1e-12 says nothing about how
+    # the price mass splits between the blocks; the forward error does.
+    rng = np.random.default_rng(n)
+    half = n // 2
+    for _ in range(5):
+        A = 1e-12 * rng.uniform(0.5, 1.0, size=(n, n))
+        A[:half, :half] = rng.uniform(0.1, 1.0, size=(half, half))
+        A[half:, half:] = rng.uniform(0.1, 1.0, size=(half, half))
+        A *= 0.6 / float(np.max(np.abs(np.linalg.eigvals(A))))
+        z = rng.uniform(0.5, 2.0, size=n)
+        price = solve_price_balance(A, z)
+        assert _forward_error(price.p, _exact_prices(A, z)) <= 1e-12
+
+
+def test_two_final_classes_give_a_fixed_combination():
+    # Block-diagonal: both blocks are closed, so every mix of their
+    # stationary vectors is a fixed point; each block gets half the price.
+    A = np.array([[0.2, 0.3, 0.0, 0.0],
+                  [0.4, 0.1, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.5],
+                  [0.0, 0.0, 0.5, 0.0]])
+    z = np.array([10.0, 10.0, 4.0, 2.0])
+    price = solve_price_balance(A, z)
+    assert price.fp_residual <= 1e-12 and price.lambda_residual <= 1e-12
+    assert np.allclose(price.p, [2.0 / 7.0, 1.5 / 7.0, 1.0 / 3.0, 1.0 / 6.0], atol=1e-15)
+    assert np.array_equal(solve_price_balance(A, z).p, price.p)
+
+
+def test_transient_industries_get_zero_price():
+    # Good 0 goes into goods 1 and 2, but industry 0 buys only its own good:
+    # a transient state of the chain, with {1, 2} the one final class.
+    A = np.array([[0.1, 0.3, 0.2],
+                  [0.0, 0.0, 0.5],
+                  [0.0, 0.5, 0.0]])
+    price = solve_price_balance(A, [1.0, 2.0, 2.0])
+    assert price.p[0] == 0.0
+    assert np.allclose(price.p, [0.0, 0.5, 0.5], atol=1e-15)
+
+
+def test_blocked_elimination_matches_single_state_steps(monkeypatch):
+    # Halving down to 2 states exercises every triangular solve and product
+    # of the blocked path against the plain one-state-at-a-time elimination.
+    from iotax import equilibrium
+
+    rng = np.random.default_rng(5)
+    A = random_irreducible_productive(rng, 37)
+    z = rng.uniform(0.2, 2.0, size=37)
+    monkeypatch.setattr(equilibrium, "GTH_LEAF", 37)
+    plain = solve_price_balance(A, z).p
+    monkeypatch.setattr(equilibrium, "GTH_LEAF", 2)
+    assert np.max(np.abs(solve_price_balance(A, z).p / plain - 1.0)) <= 1e-13
