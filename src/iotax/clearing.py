@@ -97,7 +97,8 @@ class SolutionFamily:
     ``z = c_alpha * (alpha o d)`` satisfies C z <= b with at least one
     equality row.  Instances produced by :func:`min_excess_solution` carry
     the objective value ||b - C z||^2, whether the exact nonnegative solve
-    succeeded (full clearing), and the certified KKT residual.
+    succeeded (full clearing), the certified KKT residual, and the number
+    of active-set steps of the QP (0 when full clearing skips it).
     """
 
     d: np.ndarray
@@ -107,6 +108,7 @@ class SolutionFamily:
     objective: float | None = None
     full_clearing: bool = False
     kkt_residual: float | None = None
+    qp_iterations: int | None = None
 
     def __post_init__(self):
         for name in ("d", "alpha", "z"):
@@ -226,9 +228,13 @@ def min_excess_solution(problem: ClearingProblem,
 
     Minimizes ||b - C z||^2 over z >= 0, C z <= b.  If the exact
     nonnegative solve of C z = b succeeds, full clearing is returned
-    instead, flagged.  Among non-unique minimizers the minimum-norm one is
-    selected (tiny ridge, then an exact re-polish on the converged active
-    face); optimality of the returned point is certified by KKT residuals.
+    instead, flagged.  Otherwise the bound-aware active-set QP minimizes
+    ``0.5 z^T H z + g^T z`` with ``H = 2 (C^T C + ridge E)`` and
+    ``g = -2 C^T b`` over the same constraints: the bounds z >= 0 fix
+    variables, only the rows of C enter its linear systems.  Among
+    non-unique minimizers the minimum-norm one is selected (the tiny ridge,
+    then an exact re-polish on the converged active face); optimality of the
+    returned point is certified by KKT residuals.
     """
     if cfg is None:
         cfg = ClearingConfig()
@@ -246,16 +252,14 @@ def min_excess_solution(problem: ClearingProblem,
         return SolutionFamily(
             d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z_exact,
             objective=float(residual @ residual), full_clearing=True,
-            kkt_residual=_kkt_residual(C, b, z_exact, cfg),
+            kkt_residual=_kkt_residual(C, b, z_exact, cfg), qp_iterations=0,
         )
 
     gram = C.T @ C
     ridge = cfg.ridge * max(1.0, float(np.max(gram.diagonal())))
     H = 2.0 * (gram + ridge * np.eye(l))
     g = -2.0 * C.T @ b
-    G = np.vstack([-np.eye(l), C])
-    h = np.concatenate([np.zeros(l), b])
-    qp = solve_qp(H, g, G, h, tol=1e-12, max_iter=cfg.max_iter)
+    qp = solve_qp(H, g, C, b, tol=1e-12, max_iter=cfg.max_iter)
     z = np.maximum(qp.z, 0.0)
 
     polished = _polish_min_norm(C, b, z, cfg)
@@ -279,6 +283,7 @@ def min_excess_solution(problem: ClearingProblem,
     return SolutionFamily(
         d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z,
         objective=float(residual @ residual), full_clearing=False, kkt_residual=kkt,
+        qp_iterations=qp.iterations,
     )
 
 

@@ -198,6 +198,25 @@ def test_min_excess_full_clearing_flagged():
     assert np.allclose(family.z, [1.0, 1.0], atol=1e-12)
 
 
+def test_min_excess_reports_qp_iterations(monkeypatch):
+    import iotax.clearing as clearing
+
+    counts = []
+    solve_qp = clearing.solve_qp
+
+    def spy(*args, **kwargs):
+        solution = solve_qp(*args, **kwargs)
+        counts.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(clearing, "solve_qp", spy)
+    family = min_excess_solution(COLLINEAR)
+    assert counts and family.qp_iterations == counts[0] > 0
+    assert min_excess_solution(ClearingProblem(C=np.eye(2), b=[1.0, 1.0])).qp_iterations == 0
+    assert len(counts) == 1
+    assert solution_from_alpha(SINGLE, [1.0]).qp_iterations is None
+
+
 def test_min_excess_matches_brute_force_small():
     rng = np.random.default_rng(67)
     checked = 0
