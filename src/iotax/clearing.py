@@ -25,7 +25,7 @@ from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from ._qp import solve_qp
-from .equilibrium import PriceVector, SolverConfig, solve_price_balance
+from .equilibrium import PriceVector, SolverConfig, _demand, solve_price_balance
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -36,7 +36,7 @@ from .errors import (
     SingularSystemError,
     ZeroColumnError,
 )
-from .matcheck import gated_solve, is_irreducible
+from .matcheck import gated_solve
 from .model import _as_float_matrix, _as_float_vector
 
 # Equality-row detection band, relative to max(1, b_k).
@@ -432,12 +432,8 @@ def _equilibrium(A, b, z, price: PriceVector | None,
         raise DegenerateSupportError("no row of A z = b holds with equality")
 
     if price is None:
-        sub = A[np.ix_(I, I)]
-        # Strict positivity is guaranteed (and asserted) only on an
-        # irreducible block with fully positive z; otherwise zeros are legal.
-        strict = bool(np.all(z[I] > 0)) and is_irreducible(sub)
         try:
-            restricted = solve_price_balance(sub, z[I], cfg.solver, require_positive=strict)
+            restricted = solve_price_balance(A[np.ix_(I, I)], z[I], cfg.solver)
         except (DegenerateInputError, DomainError, ConvergenceError) as exc:
             raise NoEquilibriumError(f"restricted price solve failed: {exc}") from exc
         p = np.zeros(n)
@@ -495,11 +491,7 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
 
 def _evaluate_rows(A, b, p, equality, tol) -> tuple[bool, tuple[RowCheck, ...]]:
     n = A.shape[0]
-    numerators = b * p
-    costs = A.T @ p
-    degenerate = (numerators > 0) & (costs <= 0)
-    shares = np.divide(numerators, costs, out=np.zeros(n), where=costs > 0)
-    demand = A @ shares
+    demand, degenerate = _demand(A, b, p)
     rows = []
     all_ok = not bool(np.any(degenerate))
     for k in range(n):

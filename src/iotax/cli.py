@@ -405,7 +405,7 @@ def _load_clearing(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     if doc is not None and "b" in doc and "A" in doc:
         A = _as_float_matrix(doc["A"], "A")
         return A, _as_float_vector(doc["b"], "b", A.shape[0])
-    model = load_economy(config.economy_path)
+    model = load_economy(path if doc is None else doc)
     rates = _as_float_vector(load_vector(_require(config, "pi_path", "--pi")), "pi", model.n)
     return np.asarray(model.A, dtype=float), (1.0 - rates) * model.x
 

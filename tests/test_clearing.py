@@ -261,6 +261,19 @@ def test_equilibrium_full_clearing():
     assert verify_partial_clearing(A, b, equilibrium)
 
 
+def test_equilibrium_with_a_tiny_exact_price():
+    # Both rows clear and the block is irreducible, so the prices are
+    # (2e-14, 1) up to scale, positive and exact, though p[0] is below the
+    # solver tolerance times p[1].
+    A = np.array([[0.5, 0.5], [1e-14, 0.5]])
+    b = np.array([2.0, 1.0 + 2e-14])
+    equilibrium = equilibrium_from_solution(A, b, [2.0, 2.0])
+    assert equilibrium.I_set == frozenset({0, 1})
+    p = equilibrium.p.p
+    assert p[0] / p[1] == pytest.approx(2e-14, rel=1e-12)
+    assert verify_partial_clearing(A, b, equilibrium)
+
+
 def test_equilibrium_at_known_prices():
     # The same equilibrium from prices solved elsewhere; prices that do not
     # vanish on the slack row are refused.

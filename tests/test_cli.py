@@ -71,6 +71,35 @@ def test_clear_raw_instance(tmp_path, capsys):
     assert report["rows"][0]["demand"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_clear_accepts_a_tiny_exact_price(tmp_path):
+    doc = _write(tmp_path, "tiny.json", {"A": [[0.5, 0.5], [1e-14, 0.5]], "b": [2, 1]})
+    out = tmp_path / "tiny_report.json"
+    assert main(["clear", "--economy", str(doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verified"] is True
+    assert report["p"][0] / report["p"][1] == pytest.approx(2e-14, rel=1e-9)
+
+
+def test_clear_reads_the_economy_once(tmp_path, e1_path, monkeypatch):
+    # An economy plus --pi gives the report of the raw document with
+    # b = (1 - pi) o x, and the economy file is read and parsed once.
+    import iotax.model
+
+    reads = []
+    read_text = iotax.model._read_text
+    monkeypatch.setattr(iotax.model, "_read_text",
+                        lambda path, *a: reads.append(Path(path)) or read_text(path, *a))
+    via_pi = tmp_path / "via_pi.json"
+    pi_path = _write(tmp_path, "pi.json", [0.5, 0.5])
+    assert main(["clear", "--economy", str(e1_path), "--pi", str(pi_path),
+                 "--out", str(via_pi)]) == 0
+    assert reads.count(e1_path) == 1
+    raw = _write(tmp_path, "raw.json", {"A": E1_DOC["A"], "b": [1.0, 1.0]})
+    direct = tmp_path / "direct.json"
+    assert main(["clear", "--economy", str(raw), "--out", str(direct)]) == 0
+    assert via_pi.read_text() == direct.read_text()
+
+
 def test_clear_with_user_solution(tmp_path):
     doc = _write(tmp_path, "clear.json", CLEAR_DOC)
     z_path = _write(tmp_path, "z.json", [0.0, 0.25])
@@ -243,6 +272,32 @@ def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
         assert "length 1, expected 2" in captured.err
     if case == "unparseable-tol":
         assert "invalid float value: 'abc'" in captured.err
+
+
+# Balanced, irreducible and productive, but eliminating industry 0 leaves
+# industry 1 an outflow of 1e-400, which is 0.0 in floating point.
+UNDERFLOW_DOC = {"A": [[0.0, 0.5, 5e-201], [5e-201, 0.5, 0.0], [0.0, 0.5, 0.0]],
+                 "x": [1.0, 1.0, 1.0], "c": [0.5, 0.5, 0.5],
+                 "e": [0.0, 0.0, 0.0], "i": [0.0, 0.0, 0.0]}
+# A row sum above one: A z overflows at z near the largest double.
+WIDE_DOC = {"A": [[0.6, 0.6], [0.1, 0.1]], "x": [10.0, 10.0], "c": [-2.0, 8.0],
+            "e": [0.0, 0.0], "i": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("case", ["overflowing-cost", "underflowing-elimination"])
+def test_numeric_breakdowns_exit_2_with_one_line(tmp_path, capsys, case):
+    if case == "overflowing-cost":
+        argv = ["classify", "--economy", _write(tmp_path, "wide.json", WIDE_DOC),
+                "--z", _write(tmp_path, "z.json", [1.79e308, 1.79e308])]
+        message = "overflows"
+    else:
+        argv = ["report", "--economy", _write(tmp_path, "under.json", UNDERFLOW_DOC)]
+        message = "underflowed"
+    assert main([str(arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("rejected: ") and message in captured.err
 
 
 def test_help_is_unchanged(capsys):

@@ -1,5 +1,6 @@
 """Price-balance fixed point solver and clearing verification."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from iotax import (
     solve_price_balance,
     verify_clearing,
 )
-from iotax.errors import DegenerateInputError, NotEquilibriumError
+from iotax.errors import ConvergenceError, DegenerateInputError, NotEquilibriumError
 
 ANTI = np.array([[0.0, 0.5], [0.5, 0.0]])
 
@@ -248,3 +249,70 @@ def test_blocked_elimination_matches_single_state_steps(monkeypatch):
     plain = solve_price_balance(A, z).p
     monkeypatch.setattr(equilibrium, "GTH_LEAF", 2)
     assert np.max(np.abs(solve_price_balance(A, z).p / plain - 1.0)) <= 1e-13
+
+
+def _exact_reducible_prices(A, z):
+    """Exact prices of a possibly reducible chain: the final classes are
+    labelled by reachability, each gets its own exact prices with an equal
+    share of the total, and transient industries get zero."""
+    n = len(z)
+    reach = (np.asarray(A) > 0) | np.eye(n, dtype=bool)
+    for m in range(n):  # transitive closure (Warshall)
+        reach |= reach[:, [m]] & reach[[m], :]
+    final = [k for k in range(n) if np.all(reach[reach[k], k])]
+    classes = {tuple(np.flatnonzero(reach[k])) for k in final}
+    p = np.zeros(n)
+    for states in map(list, classes):
+        p[states] = _exact_prices(A[np.ix_(states, states)], z[states]) / len(classes)
+    return p, len(classes)
+
+
+# Reducible patterns on five industries, as the edges k -> i with a_ki > 0.
+_REDUCIBLE = {
+    "one final class": [(0, 1), (1, 2), (2, 0), (2, 1), (3, 0), (3, 4), (4, 3), (4, 2)],
+    "two final classes": [(0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (4, 4), (4, 0), (4, 3)],
+    "three final classes": [(0, 0), (1, 2), (2, 1), (3, 3), (4, 0), (4, 2), (4, 3)],
+    "transient pair": [(0, 1), (1, 0), (2, 2), (3, 4), (4, 3), (4, 2), (3, 1)],
+    "transient chain": [(0, 1), (1, 0), (2, 0), (2, 1), (3, 2), (4, 3), (4, 4)],
+}
+
+
+@pytest.mark.parametrize("leaf", [16, 2])
+@pytest.mark.parametrize("pattern", sorted(_REDUCIBLE))
+def test_reducible_chains_in_every_state_order(monkeypatch, pattern, leaf):
+    # The elimination labels classes only after a zero pivot, which comes
+    # exactly when some final class misses the last industry.  With a leaf
+    # of 2, that pivot falls in either half of the blocked path.
+    from iotax import equilibrium
+
+    rng = np.random.default_rng(len(pattern))
+    rows, cols = zip(*_REDUCIBLE[pattern])
+    A = np.zeros((5, 5))
+    A[rows, cols] = rng.uniform(0.1, 1.0, size=len(rows))
+    z = rng.uniform(0.5, 2.0, size=5)
+    labelled = []
+    label = equilibrium.connected_components
+    monkeypatch.setattr(equilibrium, "GTH_LEAF", leaf)
+    monkeypatch.setattr(equilibrium, "connected_components",
+                        lambda *a, **kw: labelled.append(1) or label(*a, **kw))
+    expected_labels = 0
+    for order in itertools.permutations(range(5)):
+        Ap, zp = A[np.ix_(order, order)], z[list(order)]
+        exact, classes = _exact_reducible_prices(Ap, zp)
+        expected_labels += classes > 1 or exact[-1] == 0
+        p = solve_price_balance(Ap, zp).p
+        assert np.all(p[exact == 0] == 0.0)
+        assert _forward_error(p, exact) <= 1e-12
+    assert len(labelled) == expected_labels
+
+
+@pytest.mark.parametrize("coupling, message", [(1e-200, "underflowed"), (1e-155, "residual nan")])
+def test_vanishing_outflow_raises(coupling, message):
+    # Strongly connected, but eliminating industry 0 leaves industry 1 an
+    # outflow of coupling**2.  1e-400 is 0.0 in floating point.  The
+    # subnormal 1e-310 is a pivot whose reciprocal overflows, so the prices
+    # come out NaN, and NaN must fail the residual gate.
+    A = 0.5 * np.array([[0.0, 1.0, coupling], [coupling, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=message):
+            solve_price_balance(A, np.ones(3))
