@@ -20,6 +20,9 @@ masked set ``S``.  The multipliers of the fixed bounds are the
 stationarity residuals on their variables, formed only at stationary
 points.  Constraints are ordered bounds first, then rows, for the ratio
 test's tie-break and for the reported multipliers.
+
+At termination the working set and its multipliers are a KKT point of the
+QP; the solution returns both, so callers need not guess the optimal face.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ _STEP_EPS = 1e-13
 @dataclass(frozen=True)
 class QPSolution:
     z: np.ndarray
-    multipliers: np.ndarray  # one per bound, then one per row; zero off the final active set
+    multipliers: np.ndarray  # one per bound, then one per row; zero off the final working set
     iterations: int
+    free: np.ndarray          # bool per variable: not fixed on its bound at the end
+    working_rows: np.ndarray  # bool per row of C: in the final working set
 
 
 def solve_qp(H, g, C, b, *, tol: float = 1e-11,
@@ -87,7 +92,8 @@ def solve_qp(H, g, C, b, *, tol: float = 1e-11,
             if active.size == 0 or float(lam.min()) >= -tol * grad_scale:
                 multipliers = np.zeros(m)
                 multipliers[active] = np.maximum(lam, 0.0)
-                return QPSolution(z=z, multipliers=multipliers, iterations=iteration)
+                return QPSolution(z=z, multipliers=multipliers, iterations=iteration,
+                                  free=mask[:l], working_rows=mask[l:])
             drop = active[lam.argmin()]
             mask[drop] = not mask[drop]
             continue

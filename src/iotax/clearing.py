@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import nnls
 
 from ._qp import solve_qp
@@ -45,6 +44,9 @@ DEFAULT_EQ_TOL = 1e-9
 FULL_CLEARING_GATE = 1e-9
 # Gate for support-restricted solves, relative to max(1, ||b_I||_inf).
 SUPPORT_GATE = 1e-9
+# Tie-break regularization of the QP toward the min-norm optimum, relative
+# to the largest diagonal entry of C^T C.
+RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,13 @@ class SolutionFamily:
 
 @dataclass(frozen=True)
 class ClearingConfig:
-    """Tolerances for the minimal-excess solve and equilibrium construction."""
+    """Tolerances for the minimal-excess solve and equilibrium construction.
+    The polish's face and the certificate's multipliers come from the QP's
+    final working set, not from a tolerance here."""
 
     tol: float = 1e-8           # KKT certificate gate
     tol_eq: float = DEFAULT_EQ_TOL
     verify_tol: float = 1e-8    # row band when re-checking the nonlinear system
-    ridge: float = 1e-12        # tie-break regularization toward the min-norm optimum
-    max_iter: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
 
 
@@ -230,11 +232,12 @@ def min_excess_solution(problem: ClearingProblem,
     nonnegative solve of C z = b succeeds, full clearing is returned
     instead, flagged.  Otherwise the bound-aware active-set QP minimizes
     ``0.5 z^T H z + g^T z`` with ``H = 2 (C^T C + ridge E)`` and
-    ``g = -2 C^T b`` over the same constraints: the bounds z >= 0 fix
-    variables, only the rows of C enter its linear systems.  Among
-    non-unique minimizers the minimum-norm one is selected (the tiny ridge,
-    then an exact re-polish on the converged active face); optimality of the
-    returned point is certified by KKT residuals.
+    ``g = -2 C^T b`` over the same constraints.  Among non-unique minimizers
+    the minimum-norm one is selected: the tiny ``RIDGE`` picks it
+    approximately, an exact re-solve on the QP's final working set exactly.
+    That point is certified once, by its KKT residual with the QP's row
+    multipliers (zeros at full clearing), and ConvergenceError is raised if
+    the residual exceeds ``cfg.tol``.
     """
     if cfg is None:
         cfg = ClearingConfig()
@@ -242,39 +245,22 @@ def min_excess_solution(problem: ClearingProblem,
     l = problem.l
 
     try:
-        z_exact, _ = nnls(C, b)
-        exact_fit = float(np.max(np.abs(C @ z_exact - b)))
+        z, _ = nnls(C, b)
+        exact_fit = float(np.max(np.abs(C @ z - b)))
     except RuntimeError:
-        z_exact, exact_fit = None, np.inf
-    if z_exact is not None and exact_fit <= FULL_CLEARING_GATE * max(1.0, float(np.max(b))):
-        alpha, c_alpha = alpha_from_solution(problem, z_exact, tol_eq=cfg.tol_eq)
-        residual = b - C @ z_exact
-        return SolutionFamily(
-            d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z_exact,
-            objective=float(residual @ residual), full_clearing=True,
-            kkt_residual=_kkt_residual(C, b, z_exact, cfg), qp_iterations=0,
-        )
-
-    gram = C.T @ C
-    ridge = cfg.ridge * max(1.0, float(np.max(gram.diagonal())))
-    H = 2.0 * (gram + ridge * np.eye(l))
-    g = -2.0 * C.T @ b
-    qp = solve_qp(H, g, C, b, tol=1e-12, max_iter=cfg.max_iter)
-    z = np.maximum(qp.z, 0.0)
-
-    polished = _polish_min_norm(C, b, z, cfg)
-    best = None
-    for candidate in (polished, z):
-        if candidate is None:
-            continue
-        kkt = _kkt_residual(C, b, candidate, cfg)
-        if kkt <= cfg.tol:
-            best = (candidate, kkt)
-            break
-        if best is None or kkt < best[1]:
-            best = (candidate, kkt)
-    z, kkt = best
-    if kkt > cfg.tol:
+        exact_fit = np.inf
+    full = exact_fit <= FULL_CLEARING_GATE * max(1.0, float(np.max(b)))
+    if full:
+        nu, iterations = np.zeros(problem.n), 0
+    else:
+        gram = C.T @ C
+        ridge = RIDGE * max(1.0, float(np.max(gram.diagonal())))
+        H = 2.0 * (gram + ridge * np.eye(l))
+        qp = solve_qp(H, -2.0 * C.T @ b, C, b, tol=1e-12)
+        z = _polish_min_norm(C, b, np.maximum(qp.z, 0.0), qp.free, qp.working_rows, cfg.tol_eq)
+        nu, iterations = qp.multipliers[l:], qp.iterations
+    kkt = _kkt_residual(C, b, z, nu)
+    if kkt > cfg.tol and not full:  # full clearing passed the exact solve's gate
         raise ConvergenceError(
             f"minimal-excess optimality could not be certified: KKT residual {kkt:.3e}"
         )
@@ -282,76 +268,61 @@ def min_excess_solution(problem: ClearingProblem,
     residual = b - C @ z
     return SolutionFamily(
         d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z,
-        objective=float(residual @ residual), full_clearing=False, kkt_residual=kkt,
-        qp_iterations=qp.iterations,
+        objective=float(residual @ residual), full_clearing=full, kkt_residual=kkt,
+        qp_iterations=iterations,
     )
 
 
-def _polish_min_norm(C, b, z, cfg: ClearingConfig) -> np.ndarray | None:
-    """Exact minimum-norm re-solve on the active face of the ridged optimum."""
-    l = C.shape[1]
-    z_scale = max(1.0, float(np.max(np.abs(z))))
-    free = z > 1e-10 * z_scale
-    if not np.any(free):
-        return None
-    slack = b - C @ z
-    rows = np.flatnonzero(slack <= cfg.tol_eq * np.maximum(1.0, b))
+def _polish_min_norm(C, b, z, free, rows, tol_eq: float) -> np.ndarray:
+    """The minimum-norm minimizer on the QP's final face (variables ``free``
+    of their bounds, ``rows`` at equality), or ``z`` unless that point is
+    nonnegative, feasible and no worse.  One SVD of ``C[rows, free]`` gives
+    the minimum-norm solution of the rows and the kernel in which a
+    least-squares step then minimizes the excess."""
     C_f = C[:, free]
-    c_scale = max(1.0, float(np.max(np.abs(C))))
-    if rows.size:
-        C_rf = C[np.ix_(rows, free)]
-        z_particular = np.linalg.pinv(C_rf) @ b[rows]
-        kernel = null_space(C_rf)
-        z_free = z_particular
-        if kernel.shape[1]:
-            # Kernel directions that barely move C z are objective-neutral;
-            # the minimum-norm choice keeps them at zero, so drop them before
-            # the least-squares step (their tiny columns would blow it up).
-            moves = C_f @ kernel
-            keep = np.linalg.norm(moves, axis=0) > 1e-12 * c_scale
-            if np.any(keep):
-                t, *_ = np.linalg.lstsq(moves[:, keep], b - C_f @ z_particular,
-                                        rcond=None)
-                z_free = z_particular + kernel[:, keep] @ t
-    else:
-        z_free, *_ = np.linalg.lstsq(C_f, b, rcond=None)
-    candidate = np.zeros(l)
+    C_rf = C_f[rows]
+    U, s, Vt = np.linalg.svd(C_rf, full_matrices=True)
+    rank = int(np.count_nonzero(s > max(C_rf.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    z_free = Vt[:rank].T @ ((U[:, :rank].T @ b[rows]) / s[:rank])
+    kernel = Vt[rank:].T
+    if kernel.shape[1]:
+        # Kernel directions that barely move C z are objective-neutral; the
+        # minimum-norm choice keeps them at zero, so drop them before the
+        # least-squares step (their tiny columns would blow it up).
+        moves = C_f @ kernel
+        keep = np.linalg.norm(moves, axis=0) > 1e-12 * max(1.0, float(np.max(np.abs(C))))
+        if np.any(keep):
+            t, *_ = np.linalg.lstsq(moves[:, keep], b - C_f @ z_free, rcond=None)
+            z_free = z_free + kernel[:, keep] @ t
+    candidate = np.zeros(C.shape[1])
     candidate[free] = z_free
-    feas_band = 1e-11 * max(1.0, float(np.max(b)))
-    if float(np.min(candidate)) < -feas_band:
-        return None
+    if float(np.min(candidate)) < -1e-11 * max(1.0, float(np.max(b))):
+        return z
     candidate = np.maximum(candidate, 0.0)
-    if np.any(C @ candidate > b + cfg.tol_eq * np.maximum(1.0, b)):
-        return None
+    if np.any(C @ candidate > b + tol_eq * np.maximum(1.0, b)):
+        return z
     old = b - C @ z
     new = b - C @ candidate
     if float(new @ new) > float(old @ old) + 1e-12 * max(1.0, float(old @ old)):
-        return None
+        return z
     return candidate
 
 
-def _kkt_residual(C, b, z, cfg: ClearingConfig) -> float:
-    """Relative KKT residual of min ||b - C z||^2 over z >= 0, C z <= b."""
+def _kkt_residual(C, b, z, nu) -> float:
+    """Relative KKT residual of min ||b - C z||^2 over z >= 0, C z <= b at z,
+    with row multipliers ``nu``.  Negative entries of ``nu`` count as zero
+    and complementarity is measured on every row, so a small value certifies
+    z whatever supplies ``nu``.  The bound multipliers are the reduced
+    gradient ``mu = C^T (nu - 2 (b - C z))``: nonnegative, zero where z > 0."""
+    nu = np.maximum(nu, 0.0)
     r = b - C @ z
-    grad = -2.0 * C.T @ r
+    mu = C.T @ (nu - 2.0 * r)
     grad_scale = max(1.0, 2.0 * float(np.max(np.abs(C.T @ b))))
-    b_scale = max(1.0, float(np.max(b)))
-    feasibility = max(0.0, -float(np.min(z)), -float(np.min(r))) / b_scale
-
-    active = np.flatnonzero(r <= cfg.tol_eq * np.maximum(1.0, b))
-    support = z > 1e-10 * max(1.0, float(np.max(np.abs(z))))
-    if active.size and np.any(support):
-        system = C[np.ix_(active, support)].T
-        target = -grad[support]
-        nu, _ = nnls(system, target)
-    else:
-        nu = np.zeros(active.size)
-    mu = grad + (C[active].T @ nu if active.size else 0.0)
-    stationarity = float(np.max(np.abs(mu[support]))) if np.any(support) else 0.0
-    dual = max(0.0, -float(np.min(mu[~support]))) if np.any(~support) else 0.0
-    complementarity = float(np.max(nu * r[active])) if active.size else 0.0
-    return max(feasibility, stationarity / grad_scale, dual / grad_scale,
-               complementarity / grad_scale)
+    feasibility = max(0.0, -float(np.min(z)), -float(np.min(r))) / max(1.0, float(np.max(b)))
+    dual = max(0.0, -float(np.min(mu))) / grad_scale
+    complementarity = max(float(np.max(np.abs(mu * z))) / max(1.0, float(np.max(np.abs(z)))),
+                          float(np.max(np.abs(nu * r)))) / grad_scale
+    return max(feasibility, dual, complementarity)
 
 
 def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarray | None:
@@ -362,8 +333,7 @@ def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarra
     support) or None.  This is the existence test for a candidate equality
     set of a partial-clearing equilibrium.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _square_system(A, b)
     n = A.shape[0]
     rows = sorted(set(int(k) for k in support))
     if not rows or rows[0] < 0 or rows[-1] >= n:
@@ -410,11 +380,8 @@ def _equilibrium(A, b, z, price: PriceVector | None,
                  cfg: ClearingConfig | None) -> ClearingEquilibrium:
     if cfg is None:
         cfg = ClearingConfig()
-    A = _as_float_matrix(A, "cost matrix")
+    A, b = _square_system(A, b)
     n = A.shape[0]
-    b = _as_float_vector(b, "b", n)
-    if np.any(b <= 0):
-        raise DomainError("b must be strictly positive")
     z = _as_float_vector(z, "z", n)
     if float(np.min(z)) < -cfg.tol_eq * max(1.0, float(np.max(np.abs(z)))):
         raise NotASolutionError("z has negative components")
@@ -469,12 +436,11 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
     shows demand strictly below supply, and prices vanish on J_set.
     Homogeneous of degree zero in the prices.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _square_system(A, b)
     n = A.shape[0]
+    p = _as_float_vector(equilibrium.p, "equilibrium prices", n, held="p")
     equality = np.zeros(n, dtype=bool)
     equality[list(equilibrium.I_set)] = True
-    p = np.asarray(equilibrium.p.p, dtype=float)
     ok, rows = _evaluate_rows(A, b, p, equality, tol)
     top = float(np.max(p)) if p.size else 0.0
     if top > 0:
@@ -487,6 +453,15 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
                     for row in rows
                 )
     return ClearingCheck(ok=ok, rows=rows)
+
+
+def _square_system(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Validated cost matrix A and a strictly positive b of its size."""
+    A = _as_float_matrix(A, "cost matrix")
+    b = _as_float_vector(b, "b", A.shape[0])
+    if np.any(b <= 0):
+        raise DomainError("b must be strictly positive")
+    return A, b
 
 
 def _evaluate_rows(A, b, p, equality, tol) -> tuple[bool, tuple[RowCheck, ...]]:

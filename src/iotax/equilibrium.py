@@ -27,6 +27,7 @@ from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEqui
 from .model import _as_float_matrix, _as_float_vector
 
 GTH_LEAF = 16  # larger blocks are halved and joined by level-3 BLAS
+_TINY = np.finfo(float).tiny  # pivots below it are subnormal
 
 
 class Normalization(Enum):
@@ -146,7 +147,7 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
             if pi is None:
                 raise ConvergenceError(
                     f"price elimination underflowed: an outflow within the closed class "
-                    f"of industry {states[0]} is 0.0 in floating point"
+                    f"of industry {states[0]} is 0.0 or subnormal in floating point"
                 )
             share = pi / w[states]
             p[states] = share / share.sum()
@@ -205,8 +206,10 @@ def _eliminate(H: np.ndarray) -> bool:
     A pivot is its state's outflow to later states: minus the row's sum right
     of the diagonal.  Off-diagonal entries stay nonpositive, so no step
     cancels.  Stops at the first zero pivot other than the chain's last and
-    returns False.  BLAS comes from SciPy only: NumPy's copy runs a rival
-    thread pool.
+    returns False.  A subnormal pivot counts as zero too unless nothing
+    flows into its state from later ones: it has lost its precision to
+    underflow, and dividing an inflow by it may overflow.  BLAS comes from
+    SciPy only: NumPy's copy runs a rival thread pool.
     """
     b = H.shape[0]
     if b <= GTH_LEAF:
@@ -216,13 +219,18 @@ def _eliminate(H: np.ndarray) -> bool:
             if pivot == 0.0 and row.size:
                 return False
             col = H[k + 1:, k]
+            if pivot < _TINY and col.any():
+                return False
             col /= pivot
             H[k + 1:, k + 1:] -= col[:, np.newaxis] * row
         return True
     h = b // 2
     if not _eliminate(H[:h]):
         return False
-    lower = dtrsm(1.0, H[:h, :h], H[h:, :h], side=1)  # L21 = H21 U11^-1
+    inflow = H[h:, :h]
+    if inflow[:, H.diagonal()[:h] < _TINY].any():  # a subnormal pivot, as in the leaf
+        return False
+    lower = dtrsm(1.0, H[:h, :h], inflow, side=1)  # L21 = H21 U11^-1
     H[h:, :h] = lower
     H[h:, h:] = dgemm(-1.0, lower, H[:h, h:], 1.0, H[h:, h:])
     return _eliminate(H[h:, h:])

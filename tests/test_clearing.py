@@ -18,9 +18,11 @@ from iotax import (
     support_solution,
     verify_partial_clearing,
 )
-from iotax.clearing import equilibrium_at_prices
+from iotax.clearing import _kkt_residual, equilibrium_at_prices
 from iotax.errors import (
     DegenerateSupportError,
+    DimensionError,
+    DomainError,
     NoEquilibriumError,
     NotASolutionError,
     ZeroColumnError,
@@ -239,6 +241,24 @@ def test_min_excess_matches_brute_force_small():
         checked += 1
 
 
+def test_kkt_certificate_rejects_wrong_points_and_multipliers():
+    # SINGLE's optimum z = 0.5 holds row 1 at equality with multiplier 0.5.
+    C, b = SINGLE.C, SINGLE.b
+    z, nu = np.array([0.5]), np.array([0.0, 0.5])
+    assert _kkt_residual(C, b, z, nu) <= 1e-15
+    assert _kkt_residual(C, b, 0.5 * z, nu) > 1e-8               # feasible, not optimal
+    assert _kkt_residual(C, b, z, np.array([0.0, -0.5])) > 1e-8  # one multiplier negated
+    # A vertex on rows 0 and 1 that is not optimal: its only multipliers
+    # satisfying stationarity are (0.9, -0.81, 0), and a negative one must
+    # not pass for a certificate.
+    vertex = ClearingProblem(C=[[1.0, 1.0], [0.0, 1.0], [1.0, 0.1]], b=[1.0, 0.5, 1.0])
+    z = np.array([0.5, 0.5])
+    assert _kkt_residual(vertex.C, vertex.b, z, np.array([0.9, -0.81, 0.0])) > 1e-8
+    family = min_excess_solution(vertex)
+    assert family.objective < float(np.sum((vertex.b - vertex.C @ z) ** 2))
+    assert family.kkt_residual <= 1e-8
+
+
 def test_equilibrium_fixture():
     equilibrium = equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25])
     assert equilibrium.I_set == frozenset({1})
@@ -335,6 +355,31 @@ def test_support_solution_fixture():
     assert np.allclose(z, [0.0, 0.25], atol=1e-12)
     assert support_solution(A_FIX, B_FIX, [0]) is None
     assert support_solution(A_FIX, B_FIX, [0, 1]) is None
+
+
+NEGATIVE = [[0.5, -0.1], [0.2, 0.3]]
+NAN = [[1.0, np.nan], [2.0, 4.0]]
+
+
+@pytest.mark.parametrize("call, A, b, error", [
+    pytest.param("support", NAN, B_FIX, DomainError, id="support-nan"),
+    pytest.param("support", A_FIX, [1.0], DimensionError, id="support-short-b"),
+    pytest.param("support", NEGATIVE, [1.0, 1.0], DomainError, id="support-negative"),
+    pytest.param("support", A_FIX, [1.0, -1.0], DomainError, id="support-negative-b"),
+    pytest.param("verify", NAN, B_FIX, DomainError, id="verify-nan"),
+    pytest.param("verify", A_FIX, [1.0], DimensionError, id="verify-short-b"),
+    pytest.param("verify", NEGATIVE, [1.0, 1.0], DomainError, id="verify-negative"),
+    pytest.param("verify", A_FIX, [1.0, 0.0], DomainError, id="verify-zero-b"),
+    pytest.param("verify", 0.5 * np.eye(3), np.ones(3), DimensionError,
+                 id="verify-other-size"),  # checked against a 2x2 equilibrium
+])
+def test_support_and_verify_validate_inputs(call, A, b, error):
+    with pytest.raises(error):
+        if call == "support":
+            support_solution(A, b, [0, 1])
+        else:
+            equilibrium = equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25])
+            verify_partial_clearing(A, b, equilibrium)
 
 
 def test_wide_matrix_family():

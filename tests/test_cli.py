@@ -226,6 +226,28 @@ def test_module_entry_point(tmp_path, e1_path):
     assert "productive: True" in result.stdout
 
 
+def test_vanishing_outflow_is_one_error_line(tmp_path):
+    # A balanced economy whose price chain has a subnormal outflow (1e-310):
+    # one stderr line naming the underflow, no NumPy warning before it.  Run
+    # in a fresh interpreter, where warnings print as they would for a user.
+    import subprocess
+    import sys
+
+    eps = 1e-155
+    A = 0.5 * np.array([[0.0, 1.0, eps], [eps, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    doc = _write(tmp_path, "economy.json", {"A": A.tolist(), "x": [1.0] * 3,
+                                            "c": (1.0 - A.sum(axis=1)).tolist(),
+                                            "e": [0.0] * 3, "i": [0.0] * 3})
+    z = _write(tmp_path, "z.json", [1.0, 1.0, 1.0])
+    result = subprocess.run(
+        [sys.executable, "-m", "iotax", "classify", "--economy", str(doc), "--z", str(z)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert "underflowed" in result.stderr
+
+
 def test_twelve_significant_digits(tmp_path):
     doc = _write(tmp_path, "e2.json",
                  {"A": [[0.2, 0.3], [0.4, 0.1]], "x": [10.0, 10.0],

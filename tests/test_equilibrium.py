@@ -306,13 +306,40 @@ def test_reducible_chains_in_every_state_order(monkeypatch, pattern, leaf):
     assert len(labelled) == expected_labels
 
 
-@pytest.mark.parametrize("coupling, message", [(1e-200, "underflowed"), (1e-155, "residual nan")])
+def vanishing_outflow(coupling: float) -> np.ndarray:
+    """Strongly connected, but eliminating industry 0 leaves industry 1 an
+    outflow of coupling**2 while industry 2 flows into it."""
+    return 0.5 * np.array([[0.0, 1.0, coupling], [coupling, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("coupling, message", [(1e-200, "underflowed"), (1e-155, "underflowed"),
+                                               (1e-154, "underflowed"), (1e-160, "underflowed")])
 def test_vanishing_outflow_raises(coupling, message):
-    # Strongly connected, but eliminating industry 0 leaves industry 1 an
-    # outflow of coupling**2.  1e-400 is 0.0 in floating point.  The
-    # subnormal 1e-310 is a pivot whose reciprocal overflows, so the prices
-    # come out NaN, and NaN must fail the residual gate.
-    A = 0.5 * np.array([[0.0, 1.0, coupling], [coupling, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError, match=message):
-            solve_price_balance(A, np.ones(3))
+    # 1e-400 is 0.0 in floating point; 1e-308, 1e-310 and 1e-320 are
+    # subnormal pivots, whose quotients overflow or nearly so.  Each must name
+    # the underflow, and no NumPy warning may come first (warnings are errors).
+    with pytest.raises(ConvergenceError, match=message):
+        solve_price_balance(vanishing_outflow(coupling), np.ones(3))
+
+
+def test_tiny_normal_outflow_solves():
+    # An outflow of 1e-300 is still a normal float: prices span 300 decades.
+    p = solve_price_balance(vanishing_outflow(1e-150), np.ones(3)).p
+    expected = np.array([1e-150, 1.0, 1e-300]) / (1.0 + 1e-150 + 1e-300)
+    assert np.allclose(p, expected, rtol=1e-12, atol=0.0)
+
+
+def test_vanishing_outflow_across_blocks_raises():
+    # The subnormal pivot of industry 1 has no inflow inside its leaf; the
+    # inflow comes from the other half, through the blocked join.
+    from iotax import equilibrium
+
+    n = 2 * equilibrium.GTH_LEAF + 2
+    A = np.zeros((n, n))
+    A[0, 1], A[0, n - 1] = 1.0, 1e-155
+    A[1, 0], A[1, 1] = 1e-155, 1.0
+    A[n - 1, 1] = A[n - 1, 2] = A[n - 2, 1] = 1.0
+    for k in range(2, n - 2):
+        A[k, k + 1] = 1.0
+    with pytest.raises(ConvergenceError, match="underflowed"):
+        solve_price_balance(0.5 * A, np.ones(n))

@@ -79,6 +79,13 @@ def test_multipliers_satisfy_kkt():
         solution = solve_qp(H, g, C, b)
         assert solution.multipliers.shape == (H.shape[0] + C.shape[0],)
         assert kkt_violation(H, g, C, b, solution) <= 1e-9
+        # The final working set: its constraints hold with equality, and
+        # every constraint outside it has multiplier zero.
+        l, rows = H.shape[0], solution.working_rows
+        assert (np.all(solution.z[~solution.free] == 0.0)
+                and np.allclose(C[rows] @ solution.z, b[rows], rtol=0.0, atol=1e-9)
+                and np.all(solution.multipliers[:l][solution.free] == 0.0)
+                and np.all(solution.multipliers[l:][~rows] == 0.0))
 
 
 def test_bound_multiplier_on_fixed_variable():
