@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ._qp import solve_qp
 from .equilibrium import PriceVector, SolverConfig, _demand, solve_price_balance
@@ -35,7 +34,7 @@ from .errors import (
     SingularSystemError,
     ZeroColumnError,
 )
-from .matcheck import gated_solve
+from .matcheck import gated_solve, nnls
 from .model import _as_float_matrix, _as_float_vector
 
 # Equality-row detection band, relative to max(1, b_k).

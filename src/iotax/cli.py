@@ -37,6 +37,7 @@ from .model import (
     load_economy,
     _as_float_matrix,
     _as_float_vector,
+    _check_tol,
     _read_json,
     _read_text,
 )
@@ -221,7 +222,7 @@ def _execute(config: ScenarioConfig) -> tuple[int, dict, list[str]]:
     }.get(config.command)
     if handler is None:
         raise ParseError(f"unknown command {config.command!r}")
-    config.solver  # the price gate; built here so that a bad --tol fails every command
+    _check_tol(config.tol, "--tol")  # checked here so that a bad --tol fails every command
     return handler(config)
 
 

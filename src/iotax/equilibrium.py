@@ -21,10 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm, dtrsv
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEquilibriumError
-from .model import _as_float_matrix, _as_float_vector
+from .model import _as_float_matrix, _as_float_vector, _check_tol
 
 GTH_LEAF = 16  # larger blocks are halved and joined by level-3 BLAS
 _TINY = np.finfo(float).tiny  # pivots below it are subnormal
@@ -46,8 +45,7 @@ class SolverConfig:
     normalization: Normalization = Normalization.SUM_TO_ONE
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        _check_tol(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
     else:  # a closed class misses the last state: eliminate each one alone
         G = _chain(A, z, w)
         edges = G < 0
-        count, labels = connected_components(edges, directed=True, connection="strong")
+        count, labels = connected_components(edges)
         leaves = (edges & (labels[:, np.newaxis] != labels[np.newaxis, :])).any(axis=1)
         closed = np.bincount(labels, weights=leaves, minlength=count) == 0
         p = np.zeros(n)
@@ -172,6 +170,14 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
         p = p / p[0]
     return PriceVector(p=p, normalization=cfg.normalization,
                        lambda_residual=lam_res, fp_residual=fp_res)
+
+
+def connected_components(edges: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strong components of the digraph with an edge (k -> i) where
+    ``edges[k, i]``: their count and each state's label."""
+    from scipy.sparse import csgraph  # deferred: only a reducible chain needs it
+
+    return csgraph.connected_components(edges, directed=True, connection="strong")
 
 
 def _chain(A: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -15,10 +15,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConvergenceError, DomainError, NotProductiveError, SingularSystemError
-from .model import _as_float_matrix, _as_float_vector
+from .model import _as_float_matrix, _as_float_vector, _check_tol
 
 DEFAULT_TOL = 1e-10
 POWER_ITERATION_CAP = 10_000
@@ -74,6 +73,14 @@ class GatedSolution(NamedTuple):
 
     z: np.ndarray
     within_gate: bool
+
+
+def nnls(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """``scipy.optimize.nnls(M, rhs)``: the nonnegative least-squares solution
+    and its residual norm."""
+    from scipy.optimize import nnls as scipy_nnls  # deferred: only clear and a rare fallback need it
+
+    return scipy_nnls(M, rhs)
 
 
 def gated_solve(M: np.ndarray, rhs: np.ndarray, gate: float) -> GatedSolution:
@@ -141,7 +148,7 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL,
         mu = float(v @ w)  # v has unit norm
         res = float(np.max(np.abs(w - mu * v)))
         if res <= tol * mu:
-            return mu - 1.0
+            return max(mu - 1.0, 0.0)  # roundoff in mu must not make it negative
         if k % 512 == 511:
             if res > 0.5 * window_res:
                 break  # stalled; healthy geometric rates halve far sooner
@@ -162,8 +169,7 @@ def analyze_matrix(A, tol: float = DEFAULT_TOL) -> MatrixProfile:
     profile's Leontief inverse exist.
     """
     A = _as_float_matrix(A, "matrix")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     rho = spectral_radius(A, tol=tol)
     A.setflags(write=False)
     return MatrixProfile(

@@ -75,6 +75,12 @@ def _as_float_vector(value, name: str, n: int | None = None, *,
     return arr
 
 
+def _check_tol(tol, name: str = "tolerance") -> None:
+    """Raise DomainError unless ``tol`` is positive and finite (NaN fails)."""
+    if not 0 < tol < np.inf:
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
+
+
 def _as_float_matrix(value, name: str, *, square: bool = True) -> np.ndarray:
     """Float copy of a nonempty, finite, nonnegative matrix, square unless
     ``square`` is False."""
@@ -210,8 +216,7 @@ def demand_regime(model: EconomyModel, tol: float = DEFAULT_BALANCE_TOL) -> Dema
     nonnegative side in ``I_set``.  INVALID is also returned in the
     degenerate case where every component is negative.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     scale = float(np.max(np.abs(model.x)))
     if float(np.max(np.abs(balance_residual(model)))) > tol * scale:
         return DemandRegime(kind=RegimeKind.INVALID)

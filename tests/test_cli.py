@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E1_DOC, SUBSIDY_DOC
+from iotax import SolverConfig, analyze_matrix, demand_regime, load_economy
 from iotax.cli import main
+from iotax.errors import DomainError
 
 CLEAR_DOC = {"A": [[1.0, 2.0], [2.0, 4.0]], "b": [1.0, 1.0]}
 
@@ -226,6 +229,36 @@ def test_module_entry_point(tmp_path, e1_path):
     assert "productive: True" in result.stdout
 
 
+def test_cold_start_loads_neither_optimize_nor_sparse(e1_path):
+    # NNLS (scipy.optimize) and the strong-component labelling
+    # (scipy.sparse) are imported on first use; neither importing the CLI
+    # nor a report on a balanced economy may load them.
+    import subprocess
+    import sys
+
+    import iotax
+
+    script = """
+import contextlib, io, json, sys
+import iotax, iotax.cli
+
+def deferred():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+
+imported = deferred()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = iotax.cli.main(["report", "--economy", sys.argv[1]])
+print(json.dumps({"import": imported, "report": deferred(), "code": code,
+                  "linalg": "scipy.linalg" in sys.modules}))
+"""
+    src = str(Path(iotax.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script, str(e1_path)], capture_output=True,
+                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded == {"import": [], "report": [], "code": 0, "linalg": True}
+
+
 def test_vanishing_outflow_is_one_error_line(tmp_path):
     # A balanced economy whose price chain has a subnormal outflow (1e-310):
     # one stderr line naming the underflow, no NumPy warning before it.  Run
@@ -320,6 +353,27 @@ def test_numeric_breakdowns_exit_2_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("rejected: ") and message in captured.err
+
+
+E1_UNBALANCED_DOC = dict(E1_DOC, c=[1.2, 1.0])  # balance residual 0.2 in industry 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_tol_is_rejected(tmp_path, capsys, tol):
+    model = load_economy(E1_DOC)
+    with pytest.raises(DomainError, match="positive and finite"):
+        SolverConfig(tol=tol)
+    with pytest.raises(DomainError, match="positive and finite"):
+        analyze_matrix(model.A, tol=tol)
+    with pytest.raises(DomainError, match="positive and finite"):
+        demand_regime(model, tol)
+    # An infinite --tol must not switch the balance gate off.
+    doc = _write(tmp_path, "unbalanced.json", E1_UNBALANCED_DOC)
+    for command in ("validate", "report", "tax-perfect"):
+        assert main([command, "--economy", str(doc), f"--tol={tol!r}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --tol must be positive and finite, got {tol}"]
 
 
 def test_help_is_unchanged(capsys):

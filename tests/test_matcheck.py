@@ -6,6 +6,7 @@ import pytest
 from conftest import random_irreducible_productive
 from iotax import ConeRegion, analyze_matrix, cone_membership
 from iotax.errors import DomainError, NotProductiveError
+from iotax.matcheck import spectral_radius
 
 
 def test_analyze_anti_diagonal():
@@ -56,6 +57,13 @@ def test_spectral_radius_against_eigvals():
         expected = float(np.max(np.abs(np.linalg.eigvals(A))))
         got = analyze_matrix(A).spectral_radius
         assert abs(got - expected) <= 1e-7 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("A", [[[0.0, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [0.0, 0.0]]])
+def test_spectral_radius_of_a_zero_matrix_is_not_negative(A):
+    # Power iteration on A + E returns mu - 1, which roundoff can put below 0.
+    assert spectral_radius(np.array(A)) >= 0.0
+    assert analyze_matrix(A).spectral_radius >= 0.0
 
 
 def test_leontief_identity():
