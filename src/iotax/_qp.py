@@ -9,6 +9,10 @@ multiplier at stationary points (Nocedal & Wright, *Numerical
 Optimization*, 2006, section 16.5).  Because H is positive definite, every
 blocking constraint is linearly independent of the working set and the
 iteration terminates; an iteration cap guards against degenerate cycling.
+A full step lands on the working set's minimizer, so the step after it
+goes straight to the multiplier check: re-solving there on a nearly
+singular working set (parallel columns of C) returns roundoff noise whose
+sign would otherwise flip from step to step.
 
 The bounds never enter a linear system.  A variable that reaches its bound
 is set to exactly zero and stays fixed while the bound is in the working
@@ -71,6 +75,7 @@ def solve_qp(H, g, C, b, *, tol: float = 1e-11,
     mask = ~is_row
     z = np.zeros(l)
     grad_scale = max(1.0, float(np.abs(g).max()))
+    stationary = False  # a full step lands on the working set's minimizer
     for iteration in range(1, max_iter + 1):
         target = base - K[:, :l] @ z  # [-grad; b - C z]
         S = mask.nonzero()[0]
@@ -84,7 +89,8 @@ def solve_qp(H, g, C, b, *, tol: float = 1e-11,
             y[S] = solution
         d = y[:l]
 
-        if float(np.abs(d).max()) <= tol * max(1.0, float(np.abs(z).max())):
+        if stationary or float(np.abs(d).max()) <= tol * max(1.0, float(np.abs(z).max())):
+            stationary = False
             active = (mask == is_row).nonzero()[0]
             # Bound multipliers are the stationarity residuals of the fixed
             # variables; row multipliers are the solved unknowns.
@@ -106,6 +112,7 @@ def solve_qp(H, g, C, b, *, tol: float = 1e-11,
                   where=(mask != is_row) & (step_rows > threshold))
         alpha = min(1.0, float(ratios[ratios.argmin()]))
         z = z + alpha * d
+        stationary = alpha >= 1.0
         if alpha < 1.0:
             # deterministic tie-break: smallest constraint index at the minimum
             blocking = (ratios <= alpha * (1.0 + 1e-12) + 1e-15).argmax()

@@ -20,7 +20,8 @@ from .errors import ConvergenceError, DomainError, NotProductiveError, SingularS
 from .model import _as_float_matrix, _as_float_vector, _check_tol
 
 DEFAULT_TOL = 1e-10
-POWER_ITERATION_CAP = 10_000
+# Arnoldi vectors before spectral_radius falls back to a dense eigenvalue solve.
+ARNOLDI_VECTORS = 64
 # Residual gate for reproducing the target vector in cone_membership,
 # relative to the max-norm of the target.
 CONE_RESIDUAL_GATE = 1e-8
@@ -127,39 +128,72 @@ def is_irreducible(A: np.ndarray) -> bool:
     return bool(_reachable(adjacency, 0).all() and _reachable(adjacency.T, 0).all())
 
 
-def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL,
-                    max_iter: int = POWER_ITERATION_CAP) -> float:
-    """Dominant-eigenvalue estimate of a nonnegative matrix by power iteration.
+def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Spectral radius of a nonnegative matrix, to ``tol`` relative accuracy.
 
-    Iterates on A + E rather than A: the shift leaves the dominant
-    eigenvector unchanged, maps the radius to radius + 1, and makes the
-    iteration aperiodic so periodic matrices cannot stall it.  Deterministic
-    all-ones start; stops when the Rayleigh-quotient eigenpair residual
-    drops below ``tol`` relative to the estimate.  When the iteration makes
-    no geometric progress (defective dominant eigenvalues decay only like
-    1/k), the radius is taken from a dense eigenvalue solve instead.
+    Arnoldi on ``B = A / s`` (``s`` the largest row sum, so rho(B) <= 1) from
+    the all-ones vector, with classical Gram-Schmidt applied twice.  For a
+    nonnegative matrix rho is the eigenvalue of largest real part, so at 16,
+    32 and 64 vectors, at n vectors and at an invariant subspace the
+    rightmost Ritz vector ``x`` is tested.  If x > 0, the Collatz-Wielandt
+    bounds ``lo = min (Bx)_i / x_i <= rho(B) <= hi = max (Bx)_i / x_i`` hold
+    whatever x is, and ``hi - lo <= tol * lo`` certifies their midpoint: ``tol``
+    bounds the forward error.  Otherwise (a dominant eigenvector with zero
+    entries, nearly decoupled blocks, strongly non-normal matrices) the
+    radius comes from a dense eigenvalue solve.
     """
     n = A.shape[0]
-    shifted = A + np.eye(n)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    window_res = np.inf
-    for k in range(max_iter):
-        w = shifted @ v
-        mu = float(v @ w)  # v has unit norm
-        res = float(np.max(np.abs(w - mu * v)))
-        if res <= tol * mu:
-            return max(mu - 1.0, 0.0)  # roundoff in mu must not make it negative
-        if k % 512 == 511:
-            if res > 0.5 * window_res:
-                break  # stalled; healthy geometric rates halve far sooner
-            window_res = res
-        v = w / np.linalg.norm(w)
+    top = float(A.max())
+    if top == 0.0:
+        return 0.0
+    if top > np.finfo(float).max / n:  # a row sum could overflow
+        return top * spectral_radius(A / top, tol)
+    s = float(np.max(A.sum(axis=1)))
+    B = A / s
+    m = min(n, ARNOLDI_VECTORS)
+    Q = np.empty((m, n))  # orthonormal basis, one vector per row
+    H = np.zeros((m + 1, m))
+    q = np.full(n, 1.0 / np.sqrt(n))
+    for k in range(m):
+        Q[k] = q
+        w = B @ q
+        scale = float(np.linalg.norm(w))
+        for _ in range(2):
+            h = Q[:k + 1] @ w
+            w -= h @ Q[:k + 1]
+            H[:k + 1, k] += h
+        beta = float(np.linalg.norm(w))
+        H[k + 1, k] = beta
+        if beta <= 1e-14 * scale or k + 1 in (16, 32, m):  # invariant subspace or a check
+            rho = _certified_radius(B, Q[:k + 1], H[:k + 1, :k + 1], tol)
+            if rho is not None:
+                return s * rho
+            if beta == 0.0:
+                break
+        q = w / beta
     try:
         return float(np.max(np.abs(np.linalg.eigvals(A))))
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"spectral radius estimate did not stabilize within {max_iter} iterations"
-        ) from exc
+        raise ConvergenceError(f"spectral radius could not be computed: {exc}") from exc
+
+
+def _certified_radius(B: np.ndarray, Q: np.ndarray, H: np.ndarray, tol: float) -> float | None:
+    """Midpoint of the Collatz-Wielandt bracket of the rightmost Ritz vector
+    of ``B`` on the basis ``Q``, or None when that vector has a zero entry or
+    the bracket is wider than ``tol`` relative."""
+    theta, Y = np.linalg.eig(H)
+    y = Y[:, np.argmax(theta.real)]
+    # Real products only: a complex one wakes NumPy's OpenBLAS threads, which
+    # then slowed the price solve that follows about 1.7x at n = 400 on 2 cores.
+    x = np.hypot(y.real @ Q, y.imag @ Q)
+    x /= x.max()
+    if x.min() < np.finfo(float).tiny:  # also keeps (Bx)_i / x_i <= 1 / tiny finite
+        return None
+    ratios = (B @ x) / x
+    lo, hi = float(ratios.min()), float(ratios.max())
+    if hi - lo <= tol * lo:
+        return 0.5 * (lo + hi)
+    return None
 
 
 def analyze_matrix(A, tol: float = DEFAULT_TOL) -> MatrixProfile:

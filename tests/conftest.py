@@ -42,7 +42,7 @@ def random_irreducible_productive(rng: np.random.Generator, n: int,
     """Random irreducible nonnegative matrix scaled to a target spectral radius.
 
     A full cycle guarantees irreducibility; the scale uses numpy eigenvalues
-    (independent of the package's power iteration).
+    (independent of the package's own radius estimate).
     """
     A = rng.uniform(0.0, 1.0, size=(n, n))
     A[rng.uniform(size=(n, n)) < 0.3] = 0.0

@@ -259,6 +259,24 @@ def test_kkt_certificate_rejects_wrong_points_and_multipliers():
     assert family.kkt_residual <= 1e-8
 
 
+@pytest.mark.parametrize("C, b", [
+    # Square: columns 0 and 4 are nonzero only in row 3.
+    ([[0, 0, 0, 0.5425, 0], [0, 0.7608, 0, 0.7685, 0], [0, 0.8923, 0.8875, 1.0042, 0],
+      [0.6904, 0, 0.9389, 0.421, 0.1122], [0, 0.5877, 0, 0, 0]],
+     [0.7612, 1.1494, 0.8654, 1.256, 1.3529]),
+    # Wide: columns 0 and 3 are nonzero only in row 1.
+    ([[0, 0.155, 0.9202, 0, 0.2367, 0], [0.7665, 0.7312, 0.1155, 0.7934, 0.7583, 0],
+      [0, 0.3926, 0.8665, 0, 1.0715, 0.1938], [0, 0, 0.2576, 0, 0, 0]],
+     [0.5569, 1.1345, 0.6885, 0.7145]),
+])
+def test_min_excess_parallel_columns_terminate(C, b):
+    # Only the ridge separates two parallel columns, so the re-solve after a
+    # full step returns noise, which must not be taken for a step.
+    family = min_excess_solution(ClearingProblem(C=C, b=b))
+    assert family.kkt_residual <= 1e-8
+    assert family.qp_iterations < 50
+
+
 def test_equilibrium_fixture():
     equilibrium = equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25])
     assert equilibrium.I_set == frozenset({1})

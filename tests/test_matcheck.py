@@ -32,16 +32,16 @@ def test_analyze_unproductive_diagonal():
 
 
 def test_periodic_matrix_radius():
-    # Plain power iteration stalls on this one; the shifted iteration must not.
+    # Eigenvalues +1 and -1 share the modulus; the radius is the rightmost one.
     profile = analyze_matrix([[0.0, 2.0], [0.5, 0.0]])
     assert abs(profile.spectral_radius - 1.0) < 1e-9
     assert not profile.productive
 
 
 def test_defective_dominant_eigenvalue():
-    # Triangular with a repeated eigenvalue and a single eigenvector: power
-    # iteration alone converges only like 1/k, so the dense fallback must
-    # deliver the radius.
+    # Triangular with a repeated eigenvalue and a single eigenvector, which
+    # has a zero entry: no Collatz-Wielandt upper bound exists, so the dense
+    # fallback must deliver the radius.
     profile = analyze_matrix([[0.5, 0.2], [0.0, 0.5]])
     assert abs(profile.spectral_radius - 0.5) < 1e-9
     assert profile.productive
@@ -64,6 +64,66 @@ def test_spectral_radius_of_a_zero_matrix_is_not_negative(A):
     # Power iteration on A + E returns mu - 1, which roundoff can put below 0.
     assert spectral_radius(np.array(A)) >= 0.0
     assert analyze_matrix(A).spectral_radius >= 0.0
+
+
+@pytest.mark.parametrize("A, rho", [
+    (np.full((2, 2), 1e308), np.inf),       # row sums overflow
+    (np.diag([1e308, 5e307]), 1e308),
+    (np.full((2, 2), 6e307), 1.2e308),
+])
+def test_spectral_radius_near_overflow(A, rho):
+    assert spectral_radius(A) == pytest.approx(rho, rel=1e-12)
+
+
+def coupled_blocks(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
+    """Two dense blocks with off-diagonal blocks of order ``eps``."""
+    A = eps * rng.uniform(0.5, 1.0, size=(2 * size, 2 * size))
+    A[:size, :size] = rng.uniform(0.1, 1.0, size=(size, size))
+    A[size:, size:] = rng.uniform(0.1, 1.0, size=(size, size))
+    return A
+
+
+def cycle(n: int) -> np.ndarray:
+    A = np.zeros((n, n))
+    A[np.arange(n), (np.arange(n) + 1) % n] = np.linspace(0.5, 2.0, n)
+    return A
+
+
+def radius_cases():
+    rng = np.random.default_rng(31)
+    for k in range(30):
+        yield f"irreducible{k}", random_irreducible_productive(rng, int(rng.integers(2, 61)))
+    for eps in (1e-3, 1e-7, 1e-12):
+        for j, size in enumerate((20, 20, 200)):
+            yield f"blocks{size}-eps{eps:.0e}-{j}", coupled_blocks(rng, eps, size)
+    yield "periodic", cycle(7)
+    yield "periodic-blocks", np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), rng.uniform(size=(4, 4)))
+    yield "reducible", np.block([[rng.uniform(size=(5, 5)), rng.uniform(size=(5, 3))],
+                                 [np.zeros((3, 5)), 2.0 * rng.uniform(size=(3, 3))]])
+    yield "triangular", np.triu(rng.uniform(size=(30, 30)))
+    yield "triu200", np.triu(np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 200)))
+    yield "tiny", np.array([[1e-300, 0.0], [0.0, 0.0]])  # must not vanish against a unit shift
+
+
+@pytest.mark.parametrize("name, A", list(radius_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_spectral_radius_matches_eigvals(name, A):
+    expected = float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert abs(spectral_radius(A) - expected) <= 1e-10 * expected
+
+
+def test_spectral_radius_is_certified_without_eigvals(monkeypatch):
+    # A certified Arnoldi estimate never reaches the dense fallback.
+    rng = np.random.default_rng(8)
+    matrices = [random_irreducible_productive(rng, n) for n in (3, 10, 60, 100, 400)]
+    matrices += [coupled_blocks(rng, 1e-3, size) for size in (20, 200)]
+    expected = [float(np.max(np.abs(np.linalg.eigvals(A)))) for A in matrices]
+
+    def no_eigvals(A):
+        raise AssertionError("dense fallback taken")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    for A, rho in zip(matrices, expected):
+        assert abs(spectral_radius(A) - rho) <= 1e-10 * rho
 
 
 def test_leontief_identity():
