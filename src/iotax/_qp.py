@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import ConvergenceError
 
@@ -53,6 +52,8 @@ class QPSolution:
 def solve_qp(H, g, C, b, *, tol: float = 1e-11,
              max_iter: int | None = None) -> QPSolution:
     """Minimize 0.5 z^T H z + g^T z over z >= 0, C z <= b, starting from z = 0."""
+    from scipy.linalg.lapack import dgesv  # deferred: only clear solves a QP
+
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     C = np.asarray(C, dtype=float)

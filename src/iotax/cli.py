@@ -489,8 +489,10 @@ def _cmd_report(config: ScenarioConfig):
         lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
 
     # Prices are scale-invariant in z, so the tax table's prices (z = x) are
-    # the equilibrium prices of the clearing solution z = scale_b * x.
-    b = (1.0 - system.pi) * model.x
+    # the equilibrium prices of the clearing solution z = scale_b * x.  The
+    # retained value (1 - pi) o x is formed as scale_b * (A x): forming
+    # 1 - pi cancels when a rate is near 1.
+    b = system.scale_b * (model.A @ model.x)
     equilibrium = clr.equilibrium_at_prices(model.A, b, system.scale_b * model.x, price)
     report["excess_supply"] = _round12(equilibrium.R)
     lines.append(f"excess supply under this system: {equilibrium.R:.12g}")

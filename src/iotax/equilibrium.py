@@ -20,12 +20,11 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dtrsm, dtrsv
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEquilibriumError
 from .model import _as_float_matrix, _as_float_vector, _check_tol
 
-GTH_LEAF = 16  # larger blocks are halved and joined by level-3 BLAS
+GTH_LEAF = 16  # larger blocks are halved and joined by matrix products
 _TINY = np.finfo(float).tiny  # pivots below it are subnormal
 
 
@@ -38,8 +37,7 @@ class Normalization(Enum):
 class SolverConfig:
     """Gate and normalization of the price solve, a direct elimination that
     also finds whether the chain is reducible: ``tol`` bounds the fixed-point
-    residual and |lambda - 1| it must pass, and the relative margin
-    ``require_positive`` asks of the least price."""
+    residual and |lambda - 1| it must pass."""
 
     tol: float = 1e-12
     normalization: Normalization = Normalization.SUM_TO_ONE
@@ -88,8 +86,7 @@ class MarkupResult(NamedTuple):
     margins: np.ndarray
 
 
-def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
-                        require_positive: bool = False) -> PriceVector:
+def solve_price_balance(A, z, cfg: SolverConfig | None = None) -> PriceVector:
     """Solve the price-balance system for a nonnegative matrix and vector.
 
     Returns a nonnegative price vector with fixed-point residual and
@@ -104,9 +101,6 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
 
     When A is irreducible and z strictly positive, every price is positive
     and accurate to a few units of roundoff by construction, however small.
-    ``require_positive`` asks for more: that no price falls below ``cfg.tol``
-    times the largest, which raises ConvergenceError otherwise (zeros are
-    legal without it, and needed for partial clearing).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -141,7 +135,7 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
         p = np.zeros(n)
         for c in np.flatnonzero(closed):
             states = np.flatnonzero(labels == c)
-            pi = _gth(np.asfortranarray(G[np.ix_(states, states)]))
+            pi = _gth(G[np.ix_(states, states)])
             if pi is None:
                 raise ConvergenceError(
                     f"price elimination underflowed: an outflow within the closed class "
@@ -157,12 +151,6 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None, *,
     if not (fp_res <= cfg.tol and lam_res <= cfg.tol):  # NaN fails too
         raise ConvergenceError(
             f"price fixed point not reached: residual {fp_res:.3e}, |lambda-1| {lam_res:.3e}"
-        )
-    if require_positive and float(np.min(p)) <= cfg.tol * float(np.max(p)):
-        k = int(np.argmin(p))
-        raise ConvergenceError(
-            f"price p[{k}] = {p[k]:.3e} cannot be certified strictly positive "
-            "at the solver tolerance"
         )
     if cfg.normalization is Normalization.FIRST_TO_ONE:
         if p[0] <= 0:
@@ -181,16 +169,20 @@ def connected_components(edges: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _chain(A: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G with G = -P off the diagonal, for the chain P[k, i] = a_ki z_i / w_k;
-    in Fortran order, the layout the elimination's BLAS calls work in."""
-    G = np.multiply(A, -z, order="F")
+    """G with G = -P off the diagonal, for the chain P[k, i] = a_ki z_i / w_k."""
+    G = np.multiply(A, -z)
     G /= w[:, np.newaxis]
     return G
 
 
+class _ZeroPivot(Exception):
+    """A pivot other than the chain's last is zero, or subnormal where a
+    later state flows into its state."""
+
+
 def _gth(G: np.ndarray) -> np.ndarray | None:
-    """Stationary vector of the chain given by G = -P in Fortran order, which
-    it overwrites, or None if a pivot other than the last is zero.
+    """Stationary vector of the chain given by G = -P, which it overwrites,
+    or None if a pivot other than the last is zero.
 
     A pivot is a sum of nonpositive entries, so it is 0.0 only when its state
     cannot leave the states after it (or the sum underflows): then a closed
@@ -198,48 +190,89 @@ def _gth(G: np.ndarray) -> np.ndarray | None:
     class, it holds the last state, and the result is its unique stationary
     vector, exactly zero on transient states.  With E - P = L U, U's last
     pivot is zero and the others positive, so pi^T L U = 0 leaves
-    pi^T L = e_n^T."""
-    if not _eliminate(G):
+    pi^T L = e_n^T, solved here from the last state back, GTH_LEAF states
+    at a time.  L is nonpositive below its unit diagonal, so every step adds
+    nonnegative terms."""
+    try:
+        _eliminate(G, invert=False)
+    except _ZeroPivot:
         return None
-    last = np.zeros(G.shape[0])
-    last[-1] = 1.0
-    return dtrsv(G, last, lower=1, trans=1, diag=1)
+    n = G.shape[0]
+    pi = np.zeros(n)
+    pi[-1] = 1.0
+    for end in range(n, 0, -GTH_LEAF):
+        start = max(end - GTH_LEAF, 0)
+        block = pi[start:end]
+        if end < n:
+            block -= pi[end:] @ G[end:, start:end]
+        columns = G[start:end, start:end].T.copy()  # L's columns as contiguous rows
+        for k in range(end - start - 2, -1, -1):
+            block[k] -= columns[k, k + 1:].dot(block[k + 1:])
+    return pi
 
 
-def _eliminate(H: np.ndarray) -> bool:
+def _eliminate(H: np.ndarray, invert: bool) -> np.ndarray | None:
     """GTH elimination, in place, of the states whose rows of E - P are in H
     (from their own column to the chain's last, updated for earlier states).
     A pivot is its state's outflow to later states: minus the row's sum right
     of the diagonal.  Off-diagonal entries stay nonpositive, so no step
-    cancels.  Stops at the first zero pivot other than the chain's last and
-    returns False.  A subnormal pivot counts as zero too unless nothing
-    flows into its state from later ones: it has lost its precision to
-    underflow, and dividing an inflow by it may overflow.  BLAS comes from
-    SciPy only: NumPy's copy runs a rival thread pool.
+    cancels.  Raises _ZeroPivot at the first zero pivot other than the
+    chain's last.  A subnormal pivot counts as zero too unless nothing flows
+    into its state from later ones: it has lost its precision to underflow,
+    and dividing an inflow by it may overflow.
+
+    Blocks larger than GTH_LEAF are halved.  The join needs L21 = H21 U11^-1.
+    With ``invert``, the call returns Y = V^-1 for the block's own states,
+    where V = D^-1 U is U with each row divided by its pivot.  A pivot is at
+    least every entry of its row, so V's entries lie in [-1, 0] off its unit
+    diagonal, and Y >= 0 has entries at most the block's size however small
+    the pivots.  Then L21 = (H21 Y1) D1^-1, where H21 Y1 holds the inflows
+    from the second half into the first half's states, direct or through
+    earlier ones; two halves' inverses join as [[Y1, -Y1 V12 Y2], [0, Y2]].
+    Every product has factors of one sign.
     """
     b = H.shape[0]
     if b <= GTH_LEAF:
-        for k in range(b):
-            row = H[k, k + 1:]
-            H[k, k] = pivot = -row.sum()
-            if pivot == 0.0 and row.size:
-                return False
-            col = H[k + 1:, k]
-            if pivot < _TINY and col.any():
-                return False
-            col /= pivot
-            H[k + 1:, k + 1:] -= col[:, np.newaxis] * row
-        return True
+        return _eliminate_leaf(H, invert)
     h = b // 2
-    if not _eliminate(H[:h]):
-        return False
-    inflow = H[h:, :h]
-    if inflow[:, H.diagonal()[:h] < _TINY].any():  # a subnormal pivot, as in the leaf
-        return False
-    lower = dtrsm(1.0, H[:h, :h], inflow, side=1)  # L21 = H21 U11^-1
-    H[h:, :h] = lower
-    H[h:, h:] = dgemm(-1.0, lower, H[:h, h:], 1.0, H[h:, h:])
-    return _eliminate(H[h:, h:])
+    inverse = _eliminate(H[:h], invert=True)
+    pivots = H.diagonal()[:h]
+    inflow = H[h:, :h] @ inverse
+    if pivots.min() < _TINY and inflow[:, pivots < _TINY].any():  # as in the leaf
+        raise _ZeroPivot
+    np.divide(inflow, pivots, out=H[h:, :h])
+    H[h:, h:] -= H[h:, :h] @ H[:h, h:]
+    trailing = _eliminate(H[h:, h:], invert)
+    if not invert:
+        return None
+    joined = np.zeros((b, b))
+    joined[:h, :h] = inverse
+    joined[h:, h:] = trailing
+    joined[:h, h:] = inverse @ (H[:h, h:b] / -pivots[:, np.newaxis]) @ trailing  # -V12 >= 0
+    return joined
+
+
+def _eliminate_leaf(H: np.ndarray, invert: bool) -> np.ndarray | None:
+    """_eliminate one state at a time."""
+    b = H.shape[0]
+    for k in range(b):
+        row = H[k, k + 1:]
+        H[k, k] = pivot = -row.sum()
+        if pivot == 0.0 and row.size:
+            raise _ZeroPivot
+        col = H[k + 1:, k]
+        if pivot < _TINY and col.any():
+            raise _ZeroPivot
+        col /= pivot
+        H[k + 1:, k + 1:] -= col[:, np.newaxis] * row
+    if not invert:
+        return None
+    states = np.arange(b)
+    unit_upper = np.where(states[:, np.newaxis] > states, 0.0, H[:, :b])
+    unit_upper /= H.diagonal()[:, np.newaxis]
+    # Zeros below the unit diagonal: the LU inside inv swaps no rows, and its
+    # back substitution adds terms of one sign.
+    return np.linalg.inv(unit_upper)
 
 
 def markup_condition(A, p, tol: float = 1e-12) -> MarkupResult:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E1_DOC, SUBSIDY_DOC
+from conftest import E1_DOC, SUBSIDY_DOC, random_irreducible_productive
 from iotax import SolverConfig, analyze_matrix, demand_regime, load_economy
 from iotax.cli import main
 from iotax.errors import DomainError
@@ -124,6 +124,27 @@ def test_default_command_is_report(tmp_path, e1_path):
     assert report["productive"] is True
 
 
+@pytest.mark.parametrize("fraction", [1e-8, 1e-14])
+def test_report_clears_exactly_at_a_small_scale(tmp_path, fraction):
+    # A small --scale-b puts every rate pi = 1 - scale_b (A x) / x near 1, so
+    # forming the retained value (1 - pi) o x from the rates cancels; the
+    # constructed system still clears exactly: (1 - pi) o x = scale_b (A x).
+    rng = np.random.default_rng(5)
+    out = tmp_path / "report.json"
+    for n in (4, 10, 30):
+        for _ in range(13):
+            A = random_irreducible_productive(rng, n)
+            f = rng.uniform(0.5, 1.5, size=n)
+            x = np.linalg.solve(np.eye(n) - A, f)
+            path = _write(tmp_path, "economy.json", {"A": A.tolist(), "x": x.tolist(),
+                                                     "c": f.tolist(), "e": [0.0] * n,
+                                                     "i": [0.0] * n})
+            scale = fraction * float(np.min(x / (A @ x)))
+            assert main(["report", "--economy", str(path), f"--scale-b={scale!r}",
+                         "--out", str(out)]) == 0
+            assert abs(json.loads(out.read_text())["excess_supply"]) <= 1e-12
+
+
 def test_report_mixed_regime_includes_subsidies(tmp_path):
     path = _write(tmp_path, "subsidy.json", SUBSIDY_DOC)
     out = tmp_path / "subsidy_report.json"
@@ -230,9 +251,10 @@ def test_module_entry_point(tmp_path, e1_path):
 
 
 def test_cold_start_loads_neither_optimize_nor_sparse(e1_path):
-    # NNLS (scipy.optimize) and the strong-component labelling
-    # (scipy.sparse) are imported on first use; neither importing the CLI
-    # nor a report on a balanced economy may load them.
+    # NNLS (scipy.optimize), the strong-component labelling (scipy.sparse)
+    # and the QP's LAPACK solve (scipy.linalg) are imported on first use;
+    # neither importing the CLI nor a report on a balanced economy may load
+    # them.
     import subprocess
     import sys
 
@@ -256,7 +278,85 @@ print(json.dumps({"import": imported, "report": deferred(), "code": code,
                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
-    assert loaded == {"import": [], "report": [], "code": 0, "linalg": True}
+    assert loaded == {"import": [], "report": [], "code": 0, "linalg": False}
+
+
+def _every_command_but_clear(tmp_path):
+    """Argument lists of every command but clear on an irreducible
+    mixed-regime economy of 20 industries (more than one leaf of the price
+    elimination), written to ``tmp_path`` with the flags' files."""
+    rng = np.random.default_rng(12)
+    A = random_irreducible_productive(rng, 20)
+    f = rng.uniform(0.5, 1.5, size=20)
+    f[3] = -0.05  # industry 4 runs on subsidies
+    x = np.linalg.solve(np.eye(20) - A, f)
+    assert np.all(x > 0)
+    economy = _write(tmp_path, "economy.json", {"A": A.tolist(), "x": x.tolist(), "c": f.tolist(),
+                                                "e": [0.0] * 20, "i": [0.0] * 20})
+    generator = np.linalg.solve(np.eye(20) - A, rng.uniform(0.2, 1.0, size=20))  # z > A z
+    w = A @ generator
+    pi = _write(tmp_path, "pi.json", (1.0 - 0.5 * float(np.min(x / w)) * w / x).tolist())
+    z = _write(tmp_path, "z.json", generator.tolist())
+    extra = {"check-tax": ["--pi", str(pi)], "classify": ["--z", str(z)]}
+    return [[command, "--economy", str(economy), *extra.get(command, [])]
+            for command in ("report", "validate", "tax-perfect", "check-tax", "classify",
+                            "subsidies")]
+
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from pathlib import Path
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import iotax.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+
+results = {}
+for argv in json.loads(sys.argv[2]):
+    out = Path(sys.argv[3]) / (argv[0] + ".json")
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        code = iotax.cli.main(argv + ["--out", str(out)])
+    results[argv[0]] = [code, text.getvalue(), out.read_text() if out.exists() else None]
+loaded = scipy_modules()
+if sys.argv[1] == "unblocked":
+    with contextlib.redirect_stdout(io.StringIO()):
+        results["clear"] = [iotax.cli.main(["clear", "--economy", sys.argv[4]])]
+print(json.dumps({"results": results, "scipy": loaded, "after_clear": scipy_modules()}))
+"""
+
+
+def test_commands_but_clear_run_without_scipy(tmp_path):
+    # Every command but clear runs on NumPy alone: with scipy unimportable
+    # in a fresh interpreter, exit codes, output text and --out files are
+    # those of an unblocked run, which loads no scipy module either.  clear
+    # still loads scipy, on its first QP.
+    import subprocess
+    import sys
+
+    import iotax
+
+    commands = _every_command_but_clear(tmp_path)
+    clear_doc = _write(tmp_path, "clear.json", CLEAR_DOC)
+    src = str(Path(iotax.__file__).resolve().parent.parent)
+    runs = {}
+    for mode in ("blocked", "unblocked"):
+        out = tmp_path / mode
+        out.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps(commands), str(out),
+             str(clear_doc)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        runs[mode] = json.loads(result.stdout)
+    blocked, unblocked = runs["blocked"], runs["unblocked"]
+    assert unblocked["results"].pop("clear") == [0]
+    assert blocked["results"] == unblocked["results"]
+    assert [code for code, _, _ in blocked["results"].values()] == [0] * 6
+    assert blocked["scipy"] == unblocked["scipy"] == []
+    assert "scipy.linalg" in unblocked["after_clear"]
 
 
 def test_vanishing_outflow_is_one_error_line(tmp_path):

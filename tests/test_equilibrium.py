@@ -137,20 +137,6 @@ def test_verify_clearing_zero_cost_denominator():
         verify_clearing(A, [2.0, 2.0], [0.5, 0.5], [1.0, 0.0])
 
 
-def test_require_positive_flag():
-    from iotax.errors import ConvergenceError
-
-    # Irreducible with positive z: the guarantee holds and the flag passes.
-    price = solve_price_balance(ANTI, [2.0, 2.0], require_positive=True)
-    assert np.min(price.p) > 0
-    # Reducible upper-triangular case: the fixed point puts zero price on
-    # the first industry, so the assertion must fire.
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.allclose(solve_price_balance(A, [1.0, 1.0]).p, [0.0, 1.0], atol=1e-10)
-    with pytest.raises(ConvergenceError):
-        solve_price_balance(A, [1.0, 1.0], require_positive=True)
-
-
 def _gth_exact(P):
     """Stationary vector of a row-stochastic matrix by GTH elimination in
     exact rational arithmetic: the reference for small chains."""
@@ -249,6 +235,23 @@ def test_blocked_elimination_matches_single_state_steps(monkeypatch):
     plain = solve_price_balance(A, z).p
     monkeypatch.setattr(equilibrium, "GTH_LEAF", 2)
     assert np.max(np.abs(solve_price_balance(A, z).p / plain - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 33, 64, 65, 130])
+def test_blocked_elimination_matches_one_leaf(monkeypatch, n):
+    # The joins form L21 = H21 U11^-1 from the halves' inverses and update
+    # the trailing block by a product; one leaf of n states does neither.
+    from iotax import equilibrium
+
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        A = random_irreducible_productive(rng, n)
+        z = rng.uniform(0.2, 2.0, size=n)
+        blocked = solve_price_balance(A, z).p
+        monkeypatch.setattr(equilibrium, "GTH_LEAF", n)
+        plain = solve_price_balance(A, z).p
+        monkeypatch.undo()
+        assert np.max(np.abs(blocked / plain - 1.0)) <= 1e-13
 
 
 def _exact_reducible_prices(A, z):
