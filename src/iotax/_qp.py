@@ -52,8 +52,6 @@ class QPSolution:
 def solve_qp(H, g, C, b, *, tol: float = 1e-11,
              max_iter: int | None = None) -> QPSolution:
     """Minimize 0.5 z^T H z + g^T z over z >= 0, C z <= b, starting from z = 0."""
-    from scipy.linalg.lapack import dgesv  # deferred: only clear solves a QP
-
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -84,8 +82,9 @@ def solve_qp(H, g, C, b, *, tol: float = 1e-11,
         if S.size:  # else every variable sits on its bound
             K_S = K.take(S, 0).take(S, 1)
             rhs = target.take(S)
-            *_, solution, info = dgesv(K_S, rhs)
-            if info:  # exactly singular
+            try:
+                solution = np.linalg.solve(K_S, rhs)
+            except np.linalg.LinAlgError:  # exactly singular
                 solution, *_ = np.linalg.lstsq(K_S, rhs, rcond=None)
             y[S] = solution
         d = y[:l]

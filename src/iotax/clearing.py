@@ -34,12 +34,13 @@ from .errors import (
     SingularSystemError,
     ZeroColumnError,
 )
-from .matcheck import gated_solve, nnls
+from .matcheck import gated_solve
 from .model import _as_float_matrix, _as_float_vector
 
 # Equality-row detection band, relative to max(1, b_k).
 DEFAULT_EQ_TOL = 1e-9
-# Gate for the exact nonnegative solve that detects full clearing.
+# Full clearing: max|C z - b| at the minimal-excess z within this share of
+# max(1, max b).
 FULL_CLEARING_GATE = 1e-9
 # Gate for support-restricted solves, relative to max(1, ||b_I||_inf).
 SUPPORT_GATE = 1e-9
@@ -97,9 +98,9 @@ class SolutionFamily:
 
     ``z = c_alpha * (alpha o d)`` satisfies C z <= b with at least one
     equality row.  Instances produced by :func:`min_excess_solution` carry
-    the objective value ||b - C z||^2, whether the exact nonnegative solve
-    succeeded (full clearing), the certified KKT residual, and the number
-    of active-set steps of the QP (0 when full clearing skips it).
+    the objective value ||b - C z||^2, whether C z = b holds within the
+    full-clearing gate, the KKT residual, and the number of active-set steps
+    of the QP.
     """
 
     d: np.ndarray
@@ -227,48 +228,39 @@ def min_excess_solution(problem: ClearingProblem,
                         cfg: ClearingConfig | None = None) -> SolutionFamily:
     """Clearing solution with minimal excess supply, by quadratic programming.
 
-    Minimizes ||b - C z||^2 over z >= 0, C z <= b.  If the exact
-    nonnegative solve of C z = b succeeds, full clearing is returned
-    instead, flagged.  Otherwise the bound-aware active-set QP minimizes
-    ``0.5 z^T H z + g^T z`` with ``H = 2 (C^T C + ridge E)`` and
-    ``g = -2 C^T b`` over the same constraints.  Among non-unique minimizers
-    the minimum-norm one is selected: the tiny ``RIDGE`` picks it
-    approximately, an exact re-solve on the QP's final working set exactly.
-    That point is certified once, by its KKT residual with the QP's row
-    multipliers (zeros at full clearing), and ConvergenceError is raised if
-    the residual exceeds ``cfg.tol``.
+    Minimizes ||b - C z||^2 over z >= 0, C z <= b: the bound-aware
+    active-set QP minimizes ``0.5 z^T H z + g^T z`` with
+    ``H = 2 (C^T C + ridge E)`` and ``g = -2 C^T b`` over the same
+    constraints.  Among non-unique minimizers the minimum-norm one is
+    selected: the tiny ``RIDGE`` picks it approximately, an exact re-solve
+    on the QP's final working set exactly.  That point clears fully, and is
+    flagged so, when max|C z - b| is within ``FULL_CLEARING_GATE`` of
+    max(1, max b); a zero objective needs no further certificate.  Any other
+    point is certified by its KKT residual with the QP's row multipliers,
+    and ConvergenceError is raised if the residual exceeds ``cfg.tol``.
     """
     if cfg is None:
         cfg = ClearingConfig()
     C, b = problem.C, problem.b
     l = problem.l
 
-    try:
-        z, _ = nnls(C, b)
-        exact_fit = float(np.max(np.abs(C @ z - b)))
-    except RuntimeError:
-        exact_fit = np.inf
-    full = exact_fit <= FULL_CLEARING_GATE * max(1.0, float(np.max(b)))
-    if full:
-        nu, iterations = np.zeros(problem.n), 0
-    else:
-        gram = C.T @ C
-        ridge = RIDGE * max(1.0, float(np.max(gram.diagonal())))
-        H = 2.0 * (gram + ridge * np.eye(l))
-        qp = solve_qp(H, -2.0 * C.T @ b, C, b, tol=1e-12)
-        z = _polish_min_norm(C, b, np.maximum(qp.z, 0.0), qp.free, qp.working_rows, cfg.tol_eq)
-        nu, iterations = qp.multipliers[l:], qp.iterations
-    kkt = _kkt_residual(C, b, z, nu)
-    if kkt > cfg.tol and not full:  # full clearing passed the exact solve's gate
+    gram = C.T @ C
+    ridge = RIDGE * max(1.0, float(np.max(gram.diagonal())))
+    H = 2.0 * (gram + ridge * np.eye(l))
+    qp = solve_qp(H, -2.0 * C.T @ b, C, b, tol=1e-12)
+    z = _polish_min_norm(C, b, np.maximum(qp.z, 0.0), qp.free, qp.working_rows, cfg.tol_eq)
+    residual = b - C @ z
+    full = float(np.max(np.abs(residual))) <= FULL_CLEARING_GATE * max(1.0, float(np.max(b)))
+    kkt = _kkt_residual(C, b, z, qp.multipliers[l:])
+    if kkt > cfg.tol and not full:  # a zero objective certifies itself
         raise ConvergenceError(
             f"minimal-excess optimality could not be certified: KKT residual {kkt:.3e}"
         )
     alpha, c_alpha = alpha_from_solution(problem, z, tol_eq=cfg.tol_eq)
-    residual = b - C @ z
     return SolutionFamily(
         d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z,
         objective=float(residual @ residual), full_clearing=full, kkt_residual=kkt,
-        qp_iterations=iterations,
+        qp_iterations=qp.iterations,
     )
 
 

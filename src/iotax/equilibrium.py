@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEquilibriumError
+from .matcheck import _reachable
 from .model import _as_float_matrix, _as_float_vector, _check_tol
 
 GTH_LEAF = 16  # larger blocks are halved and joined by matrix products
@@ -162,10 +163,16 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None) -> PriceVector:
 
 def connected_components(edges: np.ndarray) -> tuple[int, np.ndarray]:
     """Strong components of the digraph with an edge (k -> i) where
-    ``edges[k, i]``: their count and each state's label."""
-    from scipy.sparse import csgraph  # deferred: only a reducible chain needs it
-
-    return csgraph.connected_components(edges, directed=True, connection="strong")
+    ``edges[k, i]``: their count and each state's label.  The component of
+    the first unlabelled state is what it reaches and what reaches it, so
+    each component costs one forward and one backward sweep."""
+    labels = np.full(edges.shape[0], -1)
+    count = 0
+    for start in range(edges.shape[0]):
+        if labels[start] < 0:
+            labels[_reachable(edges, start) & _reachable(edges.T, start)] = count
+            count += 1
+    return count, labels
 
 
 def _chain(A: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from iotax import (
 )
 from iotax.clearing import _kkt_residual, equilibrium_at_prices
 from iotax.errors import (
+    ConvergenceError,
     DegenerateSupportError,
     DimensionError,
     DomainError,
@@ -214,9 +215,45 @@ def test_min_excess_reports_qp_iterations(monkeypatch):
     monkeypatch.setattr(clearing, "solve_qp", spy)
     family = min_excess_solution(COLLINEAR)
     assert counts and family.qp_iterations == counts[0] > 0
-    assert min_excess_solution(ClearingProblem(C=np.eye(2), b=[1.0, 1.0])).qp_iterations == 0
-    assert len(counts) == 1
+    full = min_excess_solution(ClearingProblem(C=np.eye(2), b=[1.0, 1.0]))
+    assert full.full_clearing and full.qp_iterations == counts[1] > 0
+    assert len(counts) == 2
     assert solution_from_alpha(SINGLE, [1.0]).qp_iterations is None
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_full_clearing_verdict_matches_nnls(n):
+    # Full clearing is read off the QP's minimal-excess point; it must agree
+    # with an exact nonnegative solve (SciPy's NNLS residual within the same
+    # gate) on the benchmark's clearing instances.
+    from scipy.optimize import nnls
+
+    from iotax.clearing import FULL_CLEARING_GATE
+    from test_qp import clearing_instance
+
+    verdicts = []
+    for seed in range(100):
+        problem = clearing_instance(seed, n)
+        z, _ = nnls(problem.C, problem.b)
+        gate = FULL_CLEARING_GATE * max(1.0, float(np.max(problem.b)))
+        expected = float(np.max(np.abs(problem.C @ z - problem.b))) <= gate
+        assert min_excess_solution(problem).full_clearing == expected
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_full_clearing_gate_and_certificate(monkeypatch):
+    # A residual of 5e-7 is excess supply, not full clearing; a zero
+    # objective needs no KKT certificate, any other point does.
+    import iotax.clearing as clearing
+
+    near = ClearingProblem(C=[[1.0], [1.0]], b=[1.0, 1.0 + 1e-6])
+    family = min_excess_solution(near)
+    assert not family.full_clearing and family.objective == pytest.approx(5e-13, rel=1e-6)
+    monkeypatch.setattr(clearing, "_kkt_residual", lambda *args: 1.0)
+    assert min_excess_solution(ClearingProblem(C=np.eye(2), b=[1.0, 1.0])).full_clearing
+    with pytest.raises(ConvergenceError, match="KKT residual 1.000e"):
+        min_excess_solution(near)
 
 
 def test_min_excess_matches_brute_force_small():

@@ -281,10 +281,12 @@ print(json.dumps({"import": imported, "report": deferred(), "code": code,
     assert loaded == {"import": [], "report": [], "code": 0, "linalg": False}
 
 
-def _every_command_but_clear(tmp_path):
+def _every_command(tmp_path, e1_path):
     """Argument lists of every command but clear on an irreducible
     mixed-regime economy of 20 industries (more than one leaf of the price
-    elimination), written to ``tmp_path`` with the flags' files."""
+    elimination), then of clear on a raw document, on an economy with --pi
+    and on an instance whose restricted price chain is reducible, written to
+    ``tmp_path`` with the flags' files."""
     rng = np.random.default_rng(12)
     A = random_irreducible_productive(rng, 20)
     f = rng.uniform(0.5, 1.5, size=20)
@@ -298,9 +300,19 @@ def _every_command_but_clear(tmp_path):
     pi = _write(tmp_path, "pi.json", (1.0 - 0.5 * float(np.min(x / w)) * w / x).tolist())
     z = _write(tmp_path, "z.json", generator.tolist())
     extra = {"check-tax": ["--pi", str(pi)], "classify": ["--z", str(z)]}
-    return [[command, "--economy", str(economy), *extra.get(command, [])]
-            for command in ("report", "validate", "tax-perfect", "check-tax", "classify",
-                            "subsidies")]
+    commands = [[command, "--economy", str(economy), *extra.get(command, [])]
+                for command in ("report", "validate", "tax-perfect", "check-tax", "classify",
+                                "subsidies")]
+    clear_pi = _write(tmp_path, "clear_pi.json", [0.5, 0.5])
+    clears = [["clear", "--economy", str(_write(tmp_path, "clear.json", CLEAR_DOC))],
+              ["clear", "--economy", str(e1_path), "--pi", str(clear_pi)],
+              ["clear", "--economy", str(_write(tmp_path, "reducible.json", REDUCIBLE_CLEAR_DOC))]]
+    return commands, clears
+
+
+# Clears rows 1 and 2, whose restricted price chain holds two closed classes.
+REDUCIBLE_CLEAR_DOC = {"A": [[0.5, 0.0, 0.2], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5]],
+                       "b": [1.0, 1.0, 3.0]}
 
 
 _RUN_COMMANDS = """
@@ -313,50 +325,54 @@ import iotax.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
 
-results = {}
-for argv in json.loads(sys.argv[2]):
-    out = Path(sys.argv[3]) / (argv[0] + ".json")
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
-        code = iotax.cli.main(argv + ["--out", str(out)])
-    results[argv[0]] = [code, text.getvalue(), out.read_text() if out.exists() else None]
+def run(argvs):
+    for argv in argvs:
+        out = Path(sys.argv[3]) / f"{len(results)}.json"
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            code = iotax.cli.main(argv + ["--out", str(out)])
+        results.append([code, text.getvalue(), out.read_text() if out.exists() else None])
+
+results = []
+commands, clears = json.loads(sys.argv[2])
+run(commands)
 loaded = scipy_modules()
-if sys.argv[1] == "unblocked":
-    with contextlib.redirect_stdout(io.StringIO()):
-        results["clear"] = [iotax.cli.main(["clear", "--economy", sys.argv[4]])]
+run(clears)
 print(json.dumps({"results": results, "scipy": loaded, "after_clear": scipy_modules()}))
 """
 
 
-def test_commands_but_clear_run_without_scipy(tmp_path):
-    # Every command but clear runs on NumPy alone: with scipy unimportable
-    # in a fresh interpreter, exit codes, output text and --out files are
-    # those of an unblocked run, which loads no scipy module either.  clear
-    # still loads scipy, on its first QP.
+def test_every_command_runs_without_scipy(tmp_path, e1_path, monkeypatch):
+    # Every command runs on NumPy alone: with scipy unimportable in a fresh
+    # interpreter, exit codes, output text and --out files are those of an
+    # unblocked run, which loads no scipy module either, clear included.
     import subprocess
     import sys
 
     import iotax
+    from iotax import equilibrium
 
-    commands = _every_command_but_clear(tmp_path)
-    clear_doc = _write(tmp_path, "clear.json", CLEAR_DOC)
+    commands, clears = _every_command(tmp_path, e1_path)
+    labelled = []
+    label = equilibrium.connected_components
+    monkeypatch.setattr(equilibrium, "connected_components",
+                        lambda *a: labelled.append(1) or label(*a))
+    assert main(clears[2]) == 0 and labelled  # the reducible chain is labelled
     src = str(Path(iotax.__file__).resolve().parent.parent)
     runs = {}
     for mode in ("blocked", "unblocked"):
         out = tmp_path / mode
         out.mkdir()
         result = subprocess.run(
-            [sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps(commands), str(out),
-             str(clear_doc)],
+            [sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps([commands, clears]), str(out)],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr
         runs[mode] = json.loads(result.stdout)
     blocked, unblocked = runs["blocked"], runs["unblocked"]
-    assert unblocked["results"].pop("clear") == [0]
     assert blocked["results"] == unblocked["results"]
-    assert [code for code, _, _ in blocked["results"].values()] == [0] * 6
+    assert [code for code, _, _ in blocked["results"]] == [0] * 9
     assert blocked["scipy"] == unblocked["scipy"] == []
-    assert "scipy.linalg" in unblocked["after_clear"]
+    assert blocked["after_clear"] == unblocked["after_clear"] == []
 
 
 def test_vanishing_outflow_is_one_error_line(tmp_path):

@@ -309,6 +309,74 @@ def test_reducible_chains_in_every_state_order(monkeypatch, pattern, leaf):
     assert len(labelled) == expected_labels
 
 
+def _partition(labels) -> set[frozenset[int]]:
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
+
+
+def test_strong_components_match_scipy():
+    from scipy.sparse import csgraph
+
+    from iotax.equilibrium import connected_components
+
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        n = int(rng.integers(1, 13))
+        edges = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.5)
+        count, labels = connected_components(edges)
+        expected_count, expected = csgraph.connected_components(edges, directed=True,
+                                                                connection="strong")
+        assert count == expected_count
+        assert _partition(labels) == _partition(expected)
+
+
+_REDUCIBLE_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import numpy as np
+from iotax import equilibrium
+labelled = []
+label = equilibrium.connected_components
+equilibrium.connected_components = lambda *a: labelled.append(1) or label(*a)
+prices = [equilibrium.solve_price_balance(np.array(A), np.array(z)).p.tolist()
+          for A, z in json.loads(sys.argv[1])]
+print(json.dumps({"prices": prices, "labelled": len(labelled)}))
+"""
+
+
+def test_reducible_prices_without_scipy():
+    # A reducible chain labels its classes with NumPy alone: with scipy
+    # unimportable in a fresh interpreter the exact prices still come out.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import iotax
+
+    chains = []
+    for pattern, edges in sorted(_REDUCIBLE.items()):
+        rows, cols = zip(*edges)
+        A = np.zeros((5, 5))
+        A[rows, cols] = np.random.default_rng(len(pattern)).uniform(0.1, 1.0, size=len(rows))
+        z = np.linspace(0.5, 2.0, 5)
+        # An order in which a final class misses the last industry, so that
+        # the elimination meets a zero pivot and labels the classes.
+        order = next(list(order) for order in itertools.permutations(range(5))
+                     if _exact_reducible_prices(A[np.ix_(order, order)], z[list(order)])[0][-1] == 0)
+        chains.append((A[np.ix_(order, order)], z[order]))
+    src = str(Path(iotax.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _REDUCIBLE_WITHOUT_SCIPY,
+         json.dumps([[A.tolist(), z.tolist()] for A, z in chains])],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    solved = json.loads(result.stdout)
+    assert solved["labelled"] == len(chains)
+    for (A, z), p in zip(chains, solved["prices"]):
+        assert _forward_error(np.array(p), _exact_reducible_prices(A, z)[0]) <= 1e-12
+
+
 def vanishing_outflow(coupling: float) -> np.ndarray:
     """Strongly connected, but eliminating industry 0 leaves industry 1 an
     outflow of coupling**2 while industry 2 flows into it."""
