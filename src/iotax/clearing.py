@@ -28,6 +28,7 @@ from .errors import (
     ConvergenceError,
     DegenerateInputError,
     DegenerateSupportError,
+    DimensionError,
     DomainError,
     NoEquilibriumError,
     NotASolutionError,
@@ -179,18 +180,27 @@ def ray_bounds(problem: ClearingProblem) -> np.ndarray:
     return problem.d
 
 
-def scale_function(problem: ClearingProblem, alpha) -> float:
+def scale_function(problem: ClearingProblem, alpha) -> float | np.ndarray:
     """Largest scale keeping c * C (alpha o d) <= b; always at least 1.
 
     Rows whose denominator falls below a tiny epsilon are evaluated at the
     epsilon instead, which removes division blowups without changing the
     minimum (such rows produce values far above every unguarded row).
+    ``alpha`` may also be an (m, l) NumPy array of simplex points, each
+    checked as one point; the m scales then come back as an array, equal
+    bit for bit to one call per point.
     """
-    alpha = _validate_simplex(alpha, problem.l)
-    denominator = problem.C @ (alpha * problem.d)
+    stacked = isinstance(alpha, np.ndarray) and alpha.ndim == 2
+    alpha = _validate_simplex(alpha, problem.l, stacked)
+    weights = alpha * problem.d
+    if stacked:  # one matrix-vector product per point, as below
+        denominator = np.matmul(problem.C, weights[:, :, np.newaxis])[:, :, 0]
+    else:
+        denominator = problem.C @ weights
     eps = 1e-12 * float(problem.b.max())
     guarded = np.maximum(denominator, eps)
-    return float((problem.b / guarded).min())
+    scales = (problem.b / guarded).min(axis=-1)
+    return scales if stacked else float(scales)
 
 
 def solution_from_alpha(problem: ClearingProblem, alpha) -> SolutionFamily:
@@ -400,9 +410,9 @@ def _equilibrium(A, b, z, price: PriceVector | None,
     elif np.any(price.p[J] != 0):
         raise NoEquilibriumError("prices must vanish on the rows that do not clear")
 
-    ok, rows = _evaluate_rows(A, b, price.p, equality, cfg.verify_tol)
+    _, row_ok, ok = _evaluate_rows(A, b, price.p, equality, cfg.verify_tol)
     if not ok:
-        failing = [row.industry for row in rows if not row.ok]
+        failing = np.flatnonzero(~row_ok).tolist()
         raise NoEquilibriumError(
             f"the demand system is not satisfied at rows {failing}; "
             "z does not induce a partial-clearing equilibrium"
@@ -432,17 +442,19 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
     p = _as_float_vector(equilibrium.p, "equilibrium prices", n, held="p")
     equality = np.zeros(n, dtype=bool)
     equality[list(equilibrium.I_set)] = True
-    ok, rows = _evaluate_rows(A, b, p, equality, tol)
+    demand, row_ok, ok = _evaluate_rows(A, b, p, equality, tol)
     top = float(np.max(p)) if p.size else 0.0
     if top > 0:
-        for k in equilibrium.J_set:
-            if p[k] > tol * top:
-                ok = False
-                rows = tuple(
-                    RowCheck(row.industry, row.demand, row.bound, row.in_I, False)
-                    if row.industry == k else row
-                    for row in rows
-                )
+        priced = np.zeros(n, dtype=bool)
+        priced[list(equilibrium.J_set)] = True
+        priced &= p > tol * top
+        row_ok &= ~priced
+        ok = ok and not bool(priced.any())
+    rows = tuple(
+        RowCheck(industry=k, demand=d, bound=bound, in_I=in_I, ok=row)
+        for k, (d, bound, in_I, row) in enumerate(zip(
+            demand.tolist(), b.tolist(), equality.tolist(), row_ok.tolist()))
+    )
     return ClearingCheck(ok=ok, rows=rows)
 
 
@@ -455,25 +467,25 @@ def _square_system(A, b) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _evaluate_rows(A, b, p, equality, tol) -> tuple[bool, tuple[RowCheck, ...]]:
-    n = A.shape[0]
+def _evaluate_rows(A, b, p, equality, tol) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Demand at prices ``p``, each row's verdict (an ``equality`` row clears
+    within the band ``tol * max(1, b_k)``, any other stays below it by more),
+    and whether every row passes with no supply value dropped at zero cost."""
     demand, degenerate = _demand(A, b, p)
-    rows = []
-    all_ok = not bool(np.any(degenerate))
-    for k in range(n):
-        bandwidth = tol * max(1.0, b[k])
-        if equality[k]:
-            row_ok = bool(abs(demand[k] - b[k]) <= bandwidth)
-        else:
-            row_ok = bool(b[k] - demand[k] > bandwidth)
-        all_ok = all_ok and row_ok
-        rows.append(RowCheck(industry=k, demand=float(demand[k]), bound=float(b[k]),
-                             in_I=bool(equality[k]), ok=bool(row_ok)))
-    return all_ok, tuple(rows)
+    band = tol * np.maximum(1.0, b)
+    row_ok = np.where(equality, np.abs(demand - b) <= band, b - demand > band)
+    return demand, row_ok, bool(row_ok.all()) and not bool(degenerate.any())
 
 
-def _validate_simplex(alpha, l: int) -> np.ndarray:
-    alpha = _as_float_vector(alpha, "alpha", l)
-    if alpha.min() < -1e-12 or abs(float(alpha.sum()) - 1.0) > 1e-9:
+def _validate_simplex(alpha, l: int, stacked: bool = False) -> np.ndarray:
+    """A point of the unit simplex in R^l, or if ``stacked`` an (m, l) array
+    of them, each row checked as one point; entries down to -1e-12 become 0."""
+    if stacked:
+        points = _as_float_vector(alpha.ravel(), "alpha").reshape(alpha.shape)
+        if points.shape[1] != l:
+            raise DimensionError(f"alpha has rows of length {points.shape[1]}, expected {l}")
+    else:
+        points = _as_float_vector(alpha, "alpha", l)
+    if np.any(points < -1e-12) or np.any(np.abs(points.sum(axis=-1) - 1.0) > 1e-9):
         raise DomainError("alpha must lie on the unit simplex")
-    return np.maximum(alpha, 0.0)
+    return np.maximum(points, 0.0)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -97,13 +97,20 @@ def load_vector(path: Path) -> np.ndarray:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad command line as a ParseError, one line, not usage text."""
+    """Reports a bad command line as a ParseError, one line, not usage text.
+
+    ``error`` raises without touching the parser, and ``parse_args`` builds
+    a fresh Namespace per call, so one parser serves every call.
+    """
 
     def error(self, message):
         raise ParseError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later one, so a process that calls main() in a loop builds it once."""
     parser = _ArgumentParser(
         prog="iotax",
         description="Taxation systems, price equilibria, and market clearing "

@@ -23,6 +23,9 @@ from .model import _as_float_matrix, _as_float_vector, _check_tol
 DEFAULT_TOL = 1e-10
 # Arnoldi vectors before spectral_radius falls back to a dense eigenvalue solve.
 ARNOLDI_VECTORS = 64
+# Basis size of spectral_radius's first Arnoldi check (then twice it, then
+# the last); a matrix no larger is certified on the whole space at once.
+ARNOLDI_FIRST_CHECK = 16
 # Residual gate for reproducing the target vector in cone_membership,
 # relative to the max-norm of the target.
 CONE_RESIDUAL_GATE = 1e-8
@@ -273,9 +276,11 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     rightmost Ritz vector ``x`` is tested.  If x > 0, the Collatz-Wielandt
     bounds ``lo = min (Bx)_i / x_i <= rho(B) <= hi = max (Bx)_i / x_i`` hold
     whatever x is, and ``hi - lo <= tol * lo`` certifies their midpoint: ``tol``
-    bounds the forward error.  Otherwise (a dominant eigenvector with zero
-    entries, nearly decoupled blocks, strongly non-normal matrices) the
-    radius comes from a dense eigenvalue solve.
+    bounds the forward error.  At n <= 16 Arnoldi could not stop before its
+    basis spans R^n, so the rightmost eigenvector of B itself, from one
+    dense eigendecomposition, is tested instead.  Otherwise (a dominant
+    eigenvector with zero entries, nearly decoupled blocks, strongly
+    non-normal matrices) the radius comes from a dense eigenvalue solve.
     """
     n = A.shape[0]
     top = float(A.max())
@@ -285,6 +290,19 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         return top * spectral_radius(A / top, tol)
     s = float(np.max(A.sum(axis=1)))
     B = A / s
+    rho = (_certified_radius(B, np.eye(n), B, tol) if n <= ARNOLDI_FIRST_CHECK
+           else _arnoldi_radius(B, tol))
+    if rho is not None:
+        return s * rho
+    try:
+        return float(np.max(np.abs(np.linalg.eigvals(A))))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"spectral radius could not be computed: {exc}") from exc
+
+
+def _arnoldi_radius(B: np.ndarray, tol: float) -> float | None:
+    """rho(B) certified at one of Arnoldi's checks, or None."""
+    n = B.shape[0]
     m = min(n, ARNOLDI_VECTORS)
     Q = np.empty((m, n))  # orthonormal basis, one vector per row
     H = np.zeros((m + 1, m))
@@ -299,24 +317,23 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
             H[:k + 1, k] += h
         beta = float(np.linalg.norm(w))
         H[k + 1, k] = beta
-        if beta <= 1e-14 * scale or k + 1 in (16, 32, m):  # invariant subspace or a check
+        # An invariant subspace or a check.
+        if beta <= 1e-14 * scale or k + 1 in (ARNOLDI_FIRST_CHECK, 2 * ARNOLDI_FIRST_CHECK, m):
             rho = _certified_radius(B, Q[:k + 1], H[:k + 1, :k + 1], tol)
-            if rho is not None:
-                return s * rho
-            if beta == 0.0:
-                break
+            if rho is not None or beta == 0.0:
+                return rho
         q = w / beta
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(A))))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"spectral radius could not be computed: {exc}") from exc
+    return None
 
 
 def _certified_radius(B: np.ndarray, Q: np.ndarray, H: np.ndarray, tol: float) -> float | None:
     """Midpoint of the Collatz-Wielandt bracket of the rightmost Ritz vector
-    of ``B`` on the basis ``Q``, or None when that vector has a zero entry or
-    the bracket is wider than ``tol`` relative."""
-    theta, Y = np.linalg.eig(H)
+    of ``B`` on the basis ``Q``, or None when the eigensolve fails, that
+    vector has a zero entry or the bracket is wider than ``tol`` relative."""
+    try:
+        theta, Y = np.linalg.eig(H)
+    except np.linalg.LinAlgError:
+        return None
     y = Y[:, np.argmax(theta.real)]
     # Real products only: a complex one wakes NumPy's OpenBLAS threads, which
     # then slowed the price solve that follows about 1.7x at n = 400 on 2 cores.

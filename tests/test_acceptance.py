@@ -214,10 +214,8 @@ def test_criterion_7_family_completeness():
                     or float(np.max(np.abs(redone.z - family.z))) > 1e-9):
                 roundtrip_ok = False
         samples = random_simplex(rng, problem.l, size=1000)
-        for alpha in samples:
-            if scale_function(problem, alpha) < 1.0 - 1e-12:
-                scale_ok = False
-                break
+        if np.any(scale_function(problem, samples) < 1.0 - 1e-12):
+            scale_ok = False
         if not (roundtrip_ok and scale_ok):
             break
     _report(7, "500 instances: parametrization round-trips within 1e-9; "

@@ -18,7 +18,13 @@ from iotax import (
     support_solution,
     verify_partial_clearing,
 )
-from iotax.clearing import _kkt_residual, equilibrium_at_prices
+from iotax.clearing import (
+    ClearingConfig,
+    ClearingEquilibrium,
+    _kkt_residual,
+    equilibrium_at_prices,
+)
+from iotax.equilibrium import Normalization, _demand
 from iotax.errors import (
     ConvergenceError,
     DegenerateSupportError,
@@ -160,6 +166,39 @@ def test_scale_function_at_least_one_random():
         problem = random_clearing_instance(rng)
         for alpha in random_simplex(rng, problem.l, size=50):
             assert scale_function(problem, alpha) >= 1.0 - 1e-12
+
+
+def test_scale_function_on_a_stack_matches_each_point():
+    # Bit for bit, including wide problems and sizes where BLAS may thread.
+    rng = np.random.default_rng(67)
+    problems = [random_clearing_instance(rng, max_rows=int(rng.choice([8, 30])))
+                for _ in range(40)]
+    problems += [ClearingProblem(C=rng.uniform(size=(n, l)), b=rng.uniform(1.0, 2.0, size=n))
+                 for n, l in ((400, 400), (100, 97), (5, 40))]
+    for problem in problems:
+        samples = random_simplex(rng, problem.l, size=int(rng.integers(1, 200)))
+        samples[0] = np.eye(problem.l)[0]  # a vertex, where other rows hit the guard
+        scales = scale_function(problem, samples)
+        assert scales.shape == (samples.shape[0],)
+        each = np.array([scale_function(problem, alpha) for alpha in samples])
+        assert np.array_equal(scales.view(np.int64), each.view(np.int64))
+    assert scale_function(COLLINEAR, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("rows, error", [
+    pytest.param([[0.5, 0.5], [0.6, 0.5]], DomainError, id="sum-off"),
+    pytest.param([[0.5, 0.5], [1.1, -0.1]], DomainError, id="negative"),
+    pytest.param([[0.5, 0.5], [np.nan, 0.5]], DomainError, id="nan"),
+    pytest.param([[1.0], [1.0]], DimensionError, id="row-length"),
+])
+def test_scale_function_checks_every_point_of_a_stack(rows, error):
+    with pytest.raises(error):
+        scale_function(COLLINEAR, np.array(rows))
+    with pytest.raises(error):  # the same point alone
+        scale_function(COLLINEAR, rows[-1])
+    # Roundoff below zero is clipped, as for a single point.
+    assert scale_function(COLLINEAR, np.array([[1.0 + 1e-13, -1e-13]]))[0] == \
+        scale_function(COLLINEAR, [1.0 + 1e-13, -1e-13])
 
 
 def test_scale_function_continuity():
@@ -403,6 +442,70 @@ def test_verify_homogeneous_in_prices():
     assert verify_partial_clearing(A_FIX, B_FIX, scaled)
     ratio = float((B_FIX - scaled.b_bar) @ scaled.p_u / (B_FIX @ scaled.p_u))
     assert ratio == pytest.approx(equilibrium.R, abs=1e-14)
+
+
+def _row_verdicts(A, b, p, in_I, tol):
+    """Each row's verdict, one row at a time in scalar arithmetic."""
+    demand, _ = _demand(A, b, p)
+    verdicts = []
+    for k in range(len(b)):
+        band = tol * max(1.0, float(b[k]))
+        if in_I[k]:
+            verdicts.append(abs(float(demand[k]) - float(b[k])) <= band)
+        else:
+            verdicts.append(float(b[k]) - float(demand[k]) > band)
+    return demand, verdicts
+
+
+def test_row_verdicts_match_a_per_row_check():
+    # The failure message of an equilibrium at given prices and the rows of
+    # verify_partial_clearing agree with a scalar check of every row, under
+    # a band that some rows meet and others miss; a price on a slack row
+    # fails that row.
+    rng = np.random.default_rng(71)
+    outcomes = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        A = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7) + 0.05 * np.eye(n)
+        if trial % 5 == 0:  # industry 1 costs nothing, so its supply value is dropped
+            A[:, 0] = 0.0
+            A[0, 1] += 0.5
+        in_I = rng.uniform(size=n) < 0.6
+        in_I[0] = True
+        z = np.ones(n)
+        b = np.where(in_I, A @ z, A @ z + rng.uniform(0.01, 1.0, size=n))  # z's equality rows: I
+        p = np.where(in_I, rng.uniform(0.1, 1.0, size=n), 0.0)
+        demand, _ = _demand(A, b, p)
+        tol = max(1e-12, float(rng.choice(np.abs(demand - b) / np.maximum(1.0, b))))
+        _, verdicts = _row_verdicts(A, b, p, in_I, tol)
+        failing = [k for k, ok in enumerate(verdicts) if not ok]
+        price = PriceVector(p=p, normalization=Normalization.SUM_TO_ONE, lambda_residual=0.0,
+                            fp_residual=0.0)
+        try:
+            equilibrium_at_prices(A, b, z, price, ClearingConfig(verify_tol=tol))
+        except NoEquilibriumError as exc:
+            assert f"the demand system is not satisfied at rows {failing};" in str(exc)
+            outcomes.add("rejected")
+        else:
+            assert failing == [] and trial % 5
+            outcomes.add("accepted")
+
+        if trial % 2:
+            p[~in_I] = rng.choice([0.0, 1e-9, 0.2], size=int((~in_I).sum()))
+        equilibrium = ClearingEquilibrium(
+            z=z, I_set=frozenset(np.flatnonzero(in_I).tolist()),
+            J_set=frozenset(np.flatnonzero(~in_I).tolist()), b_bar=A @ z, p_u=p, R=0.0,
+            p=dataclasses.replace(price, p=p))
+        check = verify_partial_clearing(A, b, equilibrium, tol)
+        demand, verdicts = _row_verdicts(A, b, p, in_I, tol)
+        verdicts = [ok and (clears or price <= tol * p.max())
+                    for ok, clears, price in zip(verdicts, in_I, p)]
+        assert [(row.industry, row.demand, row.bound, row.in_I, row.ok) for row in check.rows] \
+            == [(k, float(demand[k]), float(b[k]), bool(in_I[k]), verdicts[k]) for k in range(n)]
+        assert check.ok == (all(verdicts) and trial % 5 != 0)
+        outcomes.update(("row", row.in_I, row.ok) for row in check.rows)
+    assert outcomes == {"accepted", "rejected", ("row", True, True), ("row", True, False),
+                        ("row", False, True), ("row", False, False)}
 
 
 def test_support_solution_fixture():

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import E1_DOC, SUBSIDY_DOC, random_irreducible_productive
 from iotax import SolverConfig, analyze_matrix, demand_regime, load_economy
+from iotax import cli
 from iotax.cli import main
-from iotax.errors import DomainError
+from iotax.errors import DomainError, ParseError
 
 CLEAR_DOC = {"A": [[1.0, 2.0], [2.0, 4.0]], "b": [1.0, 1.0]}
 
@@ -373,6 +374,92 @@ def test_every_command_runs_without_scipy(tmp_path, e1_path, monkeypatch):
     assert [code for code, _, _ in blocked["results"]] == [0] * 9
     assert blocked["scipy"] == unblocked["scipy"] == []
     assert blocked["after_clear"] == unblocked["after_clear"] == []
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call(tmp_path, e1_path):
+    # In one process, flags given and then left out, an unparseable value
+    # and an unknown flag leave nothing behind: every call's exit code,
+    # output and --out bytes equal those of a call on a freshly built parser.
+    commands, clears = _every_command(tmp_path, e1_path)
+    economy = commands[0][2]
+    e1 = str(e1_path)
+    argvs = [
+        ["tax-perfect", "--economy", e1, "--scale-b", "1.0", "--out"],
+        [*commands[3], "--out"],  # check-tax --pi
+        [*commands[4], "--out"],  # classify --z
+        [*clears[1], "--tol", "1e-8", "--out"],  # clear --pi
+        ["tax-perfect", "--economy", e1],
+        ["check-tax", "--economy", economy],  # --pi left out: an error, not the last --pi
+        ["report", "--economy", economy, "--out"],
+        ["report", "--economy", e1, "--tol", "abc"],
+        ["report", "--economy", e1, "--bogus", "--out"],
+        ["--economy", e1, "--out"],
+    ]
+    runs = {}
+    for mode in ("cached", "fresh"):
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        state = repr(vars(parser))
+        results = []
+        for k, argv in enumerate(argvs):
+            if mode == "fresh":
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{mode}-{k}.json"
+            if argv[-1] == "--out":
+                argv = [*argv, str(out)]
+            code, stdout, stderr = _run_main(argv)
+            results.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+        if mode == "cached":
+            assert cli.build_parser() is parser
+            assert repr(vars(parser)) == state
+        runs[mode] = results
+    assert runs["cached"] == runs["fresh"]
+    codes = [code for code, *_ in runs["cached"]]
+    assert codes == [0, 0, 0, 0, 0, 1, 0, 1, 1, 0]
+    assert [out is not None for *_, out in runs["cached"]] == [True] * 4 + [False] * 2 + [
+        True, False, False, True]
+    assert runs["cached"][7][2] == "error: argument --tol: invalid float value: 'abc'\n"
+    assert runs["cached"][8][2] == "error: unrecognized arguments: --bogus\n"
+
+
+def test_parse_args_returns_a_fresh_namespace():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["check-tax", "--economy", "e.json", "--pi", "pi.json"])
+    with pytest.raises(ParseError, match="invalid float value"):
+        parser.parse_args(["--scale-b", "x"])
+    second = parser.parse_args(["check-tax", "--economy", "e.json"])
+    assert second is not first
+    assert first.pi_path == Path("pi.json") and second.pi_path is None
+
+
+def test_importing_the_cli_builds_no_parser():
+    import subprocess
+    import sys
+
+    import iotax
+
+    script = """
+import contextlib, io, sys
+import iotax.cli
+built = [iotax.cli.build_parser.cache_info().currsize]
+with contextlib.redirect_stderr(io.StringIO()):
+    iotax.cli.main(["validate"])
+built.append(iotax.cli.build_parser.cache_info().currsize)
+print(built)
+"""
+    src = str(Path(iotax.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1]"
 
 
 def test_vanishing_outflow_is_one_error_line(tmp_path):

@@ -10,8 +10,8 @@ from scipy.optimize import nnls as scipy_nnls
 from conftest import random_irreducible_productive
 from iotax import ConeRegion, analyze_matrix, cone_membership
 from iotax import matcheck
-from iotax.errors import DomainError, NotProductiveError, SingularSystemError
-from iotax.matcheck import gated_solve, nnls, spectral_radius
+from iotax.errors import ConvergenceError, DomainError, NotProductiveError, SingularSystemError
+from iotax.matcheck import ARNOLDI_FIRST_CHECK, gated_solve, nnls, spectral_radius
 
 
 def test_analyze_anti_diagonal():
@@ -117,10 +117,12 @@ def test_spectral_radius_matches_eigvals(name, A):
 
 
 def test_spectral_radius_is_certified_without_eigvals(monkeypatch):
-    # A certified Arnoldi estimate never reaches the dense fallback.
+    # A certified Arnoldi estimate never reaches the dense fallback, nor at
+    # n <= 16 does a certified dense eigendecomposition.
     rng = np.random.default_rng(8)
     matrices = [random_irreducible_productive(rng, n) for n in (3, 10, 60, 100, 400)]
     matrices += [coupled_blocks(rng, 1e-3, size) for size in (20, 200)]
+    matrices += [random_irreducible_productive(rng, n) for n in range(1, ARNOLDI_FIRST_CHECK + 1)]
     expected = [float(np.max(np.abs(np.linalg.eigvals(A)))) for A in matrices]
 
     def no_eigvals(A):
@@ -129,6 +131,67 @@ def test_spectral_radius_is_certified_without_eigvals(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     for A, rho in zip(matrices, expected):
         assert abs(spectral_radius(A) - rho) <= 1e-10 * rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17])
+def test_spectral_radius_on_either_side_of_the_first_check(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        A = rng.uniform(size=(n, n))
+        A[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.5)] = 0.0
+        expected = float(np.max(np.abs(np.linalg.eigvals(A))))
+        assert abs(spectral_radius(A) - expected) <= 1e-10 * max(expected, np.finfo(float).tiny)
+
+
+def _counting_eigvals(monkeypatch) -> list:
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(A):
+        calls.append(A.shape)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def test_small_radius_without_a_positive_eigenvector_falls_back(monkeypatch):
+    # A dominant eigenvector with zero entries has no Collatz-Wielandt upper
+    # bound, so the eigenvalue solve must give the radius; the periodic
+    # cycle's Perron vector is positive, so its bracket closes.
+    rng = np.random.default_rng(41)
+    reducible = np.block([[2.0 * rng.uniform(size=(5, 5)), rng.uniform(size=(5, 3))],
+                          [np.zeros((3, 5)), rng.uniform(size=(3, 3))]])
+    triangular = np.triu(rng.uniform(0.1, 0.5, size=(6, 6)))
+    triangular[0, 0] = 0.9  # its eigenvector is the first unit vector
+    expected = {name: float(np.max(np.abs(np.linalg.eigvals(A))))
+                for name, A in (("reducible", reducible), ("triangular", triangular),
+                                ("periodic", cycle(7)))}
+    calls = _counting_eigvals(monkeypatch)
+    for name, A, fallback in (("reducible", reducible, True), ("triangular", triangular, True),
+                              ("periodic", cycle(7), False)):
+        calls.clear()
+        assert abs(spectral_radius(A) - expected[name]) <= 1e-10 * expected[name]
+        assert bool(calls) == fallback, name
+
+
+@pytest.mark.parametrize("n", [3, 16, 40])
+def test_failed_eigensolve_is_not_a_traceback(n, monkeypatch):
+    # A LinAlgError from eig ends in the eigenvalue fallback, and one from
+    # the fallback too in ConvergenceError.
+    A = random_irreducible_productive(np.random.default_rng(n), n)
+    expected = float(np.max(np.abs(np.linalg.eigvals(A))))
+
+    def failing(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    calls = _counting_eigvals(monkeypatch)
+    assert abs(spectral_radius(A) - expected) <= 1e-10 * expected
+    assert calls == [(n, n)]
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(ConvergenceError, match="spectral radius could not be computed"):
+        spectral_radius(A)
 
 
 def test_leontief_identity():
