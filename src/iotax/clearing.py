@@ -186,26 +186,24 @@ def scale_function(problem: ClearingProblem, alpha) -> float | np.ndarray:
     Rows whose denominator falls below a tiny epsilon are evaluated at the
     epsilon instead, which removes division blowups without changing the
     minimum (such rows produce values far above every unguarded row).
-    ``alpha`` may also be an (m, l) NumPy array of simplex points, each
-    checked as one point; the m scales then come back as an array, equal
-    bit for bit to one call per point.
+    A one-dimensional ``alpha`` gives a float. A two-dimensional one, list
+    or array, even with a single row, is an (m, l) stack of simplex points,
+    each checked as one point; it gives an (m,) array, equal bit for bit to
+    one call per point.
     """
-    stacked = isinstance(alpha, np.ndarray) and alpha.ndim == 2
-    alpha = _validate_simplex(alpha, problem.l, stacked)
+    alpha = _validate_simplex(alpha, problem.l)
     weights = alpha * problem.d
-    if stacked:  # one matrix-vector product per point, as below
-        denominator = np.matmul(problem.C, weights[:, :, np.newaxis])[:, :, 0]
-    else:
-        denominator = problem.C @ weights
+    # One matrix-vector product per point, the BLAS call of C @ weights.
+    denominator = np.matmul(problem.C, weights[..., np.newaxis])[..., 0]
     eps = 1e-12 * float(problem.b.max())
     guarded = np.maximum(denominator, eps)
     scales = (problem.b / guarded).min(axis=-1)
-    return scales if stacked else float(scales)
+    return float(scales) if scales.ndim == 0 else scales
 
 
 def solution_from_alpha(problem: ClearingProblem, alpha) -> SolutionFamily:
     """The clearing solution generated by a simplex point."""
-    alpha = _validate_simplex(alpha, problem.l)
+    alpha = _validate_simplex(_as_float_vector(alpha, "alpha", problem.l), problem.l)
     c_alpha = scale_function(problem, alpha)
     z = c_alpha * alpha * problem.d
     return SolutionFamily(d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z)
@@ -477,15 +475,16 @@ def _evaluate_rows(A, b, p, equality, tol) -> tuple[np.ndarray, np.ndarray, bool
     return demand, row_ok, bool(row_ok.all()) and not bool(degenerate.any())
 
 
-def _validate_simplex(alpha, l: int, stacked: bool = False) -> np.ndarray:
-    """A point of the unit simplex in R^l, or if ``stacked`` an (m, l) array
-    of them, each row checked as one point; entries down to -1e-12 become 0."""
-    if stacked:
-        points = _as_float_vector(alpha.ravel(), "alpha").reshape(alpha.shape)
-        if points.shape[1] != l:
-            raise DimensionError(f"alpha has rows of length {points.shape[1]}, expected {l}")
-    else:
-        points = _as_float_vector(alpha, "alpha", l)
+def _validate_simplex(alpha, l: int) -> np.ndarray:
+    """A point of the unit simplex in R^l, or an (m, l) stack of them, each
+    row checked as one point; entries down to -1e-12 become 0."""
+    try:
+        shape = np.shape(alpha)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"alpha must be an array of numbers ({exc})") from exc
+    points = _as_float_vector(np.ravel(alpha), "alpha").reshape(shape)
+    if points.ndim not in (1, 2) or points.shape[-1] != l:
+        raise DimensionError(f"alpha must have shape ({l},) or (m, {l}), got {points.shape}")
     if np.any(points < -1e-12) or np.any(np.abs(points.sum(axis=-1) - 1.0) > 1e-9):
         raise DomainError("alpha must lie on the unit simplex")
     return np.maximum(points, 0.0)

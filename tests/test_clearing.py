@@ -201,6 +201,34 @@ def test_scale_function_checks_every_point_of_a_stack(rows, error):
         scale_function(COLLINEAR, [1.0 + 1e-13, -1e-13])
 
 
+def test_scale_function_returns_an_array_for_any_two_dimensional_input():
+    # A single point given as one row is a stack of one, as list or as array.
+    alone = scale_function(COLLINEAR, [0.25, 0.75])
+    assert isinstance(alone, float)
+    for one_row in ([[0.25, 0.75]], np.array([[0.25, 0.75]])):
+        scales = scale_function(COLLINEAR, one_row)
+        assert isinstance(scales, np.ndarray) and scales.shape == (1,)
+        assert scales[0] == alone
+    assert np.array_equal(scale_function(COLLINEAR, [[0.25, 0.75], [1.0, 0.0]]),
+                          scale_function(COLLINEAR, np.array([[0.25, 0.75], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("alpha, error", [
+    pytest.param(0.5, DimensionError, id="scalar"),
+    pytest.param(np.full((1, 1, 2), 0.5), DimensionError, id="three-dimensional"),
+    pytest.param([[0.5, 0.5], [1.0]], DomainError, id="ragged"),
+    pytest.param(["a", "b"], DomainError, id="text"),
+])
+def test_scale_function_rejects_other_shapes(alpha, error):
+    with pytest.raises(error):
+        scale_function(COLLINEAR, alpha)
+
+
+def test_solution_from_alpha_takes_one_point_only():
+    with pytest.raises(DimensionError):
+        solution_from_alpha(COLLINEAR, [[0.5, 0.5]])
+
+
 def test_scale_function_continuity():
     # No jump beyond ten times the local slope, estimated by a tiny step.
     rng = np.random.default_rng(61)
