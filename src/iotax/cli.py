@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +75,7 @@ def _round12(value: float) -> float:
 
 
 def _vec(arr) -> list[float]:
-    return [_round12(float(v)) for v in np.asarray(arr, dtype=float)]
+    return [_round12(v) for v in np.asarray(arr, dtype=float).tolist()]
 
 
 def _indices(s) -> list[int]:
@@ -187,8 +190,18 @@ def _run_scenario(config: ScenarioConfig) -> tuple[int, dict, list[str], bool]:
 
 
 def run_batch(args) -> int:
-    """Run one scenario per *.json file in a directory, one at a time in
-    sorted order; returns the worst exit code."""
+    """Run one scenario per *.json file in a directory and print their
+    blocks in sorted order; returns the worst exit code.
+
+    On Linux, with more than one usable CPU and more than one scenario and
+    no other live Python thread, the scenarios run on forked worker
+    processes, one per usable CPU up to the number of scenarios.  Each
+    worker writes its own --out file and returns its exit code and lines,
+    which are printed here in order as they arrive.  Otherwise the
+    scenarios run one at a time in this process.  Standard output, the
+    files and the exit code are the same either way.  A worker that dies
+    gives one error line and exit 1.
+    """
     directory = Path(args.batch)
     if not directory.is_dir():
         print(f"error: batch directory not found: {directory}", file=sys.stderr)
@@ -204,11 +217,52 @@ def run_batch(args) -> int:
         except OSError as exc:
             print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    worst = EXIT_OK
+    configs = []
     for path in paths:
         config = _config_from_args(args, path)
         config.out_path = (out_dir / f"{path.stem}.report.json") if out_dir else None
-        code, _, lines, _ = _run_scenario(config)
+        configs.append(config)
+    workers = _batch_workers(len(configs))
+    if workers < 2:
+        return _print_batch(paths, map(_batch_scenario, configs))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # A forked worker flushes the standard streams it inherits when it exits.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return _print_batch(paths, pool.map(_batch_scenario, configs))
+    except BrokenProcessPool as exc:
+        print(f"error: a batch worker process died: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+def _batch_workers(scenarios: int) -> int:
+    """Worker processes for a batch: one per usable CPU up to ``scenarios``
+    where forking is safe, else 1 (run in this process).
+
+    Forked workers start with this process's modules loaded, where spawned
+    ones would import NumPy and iotax again.  A fork copies only the calling
+    thread, so a lock that another Python thread holds would stay held in
+    the worker: with such a thread alive the batch runs in this process.
+    """
+    if sys.platform != "linux" or scenarios < 2 or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), scenarios)
+
+
+def _batch_scenario(config: ScenarioConfig) -> tuple[int, list[str]]:
+    code, _, lines, _ = _run_scenario(config)
+    return code, lines
+
+
+def _print_batch(paths: list[Path], results) -> int:
+    """Print one block per scenario as ``results`` yields (code, lines);
+    returns the worst code."""
+    worst = EXIT_OK
+    for path, (code, lines) in zip(paths, results):
         print(f"== {path.name} (exit {code}) ==")
         for line in lines:
             print(line)
@@ -266,18 +320,18 @@ def _structural_summary(model: EconomyModel, profile: MatrixProfile,
 
 
 def _table_lines(rows: list[dict]) -> list[str]:
+    """A header and one line per row, each cell 14 wide: floats to 12
+    significant digits, ints (bools as 0 and 1) in decimal, anything else
+    as its str.  Every row has the first row's columns and cell types."""
     if not rows:
         return []
-    columns = list(rows[0].keys())
-    header = "  ".join(f"{name:>14}" for name in columns)
-    lines = [header]
-    for row in rows:
-        cells = []
-        for name in columns:
-            value = row[name]
-            cells.append(f"{value:>14.12g}" if isinstance(value, float) else f"{value:>14}")
-        lines.append("  ".join(cells))
-    return lines
+    columns = list(rows[0])
+    row_format = "  ".join("%14.12g" if isinstance(value, float)
+                           else "%14d" if isinstance(value, int) else "%14s"
+                           for value in rows[0].values())
+    cells = itemgetter(*columns)
+    return (["  ".join("%14s" % name for name in columns)]
+            + [row_format % cells(row) for row in rows])
 
 
 def _cmd_validate(config: ScenarioConfig):

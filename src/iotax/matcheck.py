@@ -24,7 +24,8 @@ DEFAULT_TOL = 1e-10
 # Arnoldi vectors before spectral_radius falls back to a dense eigenvalue solve.
 ARNOLDI_VECTORS = 64
 # Basis size of spectral_radius's first Arnoldi check (then twice it, then
-# the last); a matrix no larger is certified on the whole space at once.
+# the last); a matrix no larger than the second is certified on the whole
+# space at once.
 ARNOLDI_FIRST_CHECK = 16
 # Residual gate for reproducing the target vector in cone_membership,
 # relative to the max-norm of the target.
@@ -276,9 +277,9 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     rightmost Ritz vector ``x`` is tested.  If x > 0, the Collatz-Wielandt
     bounds ``lo = min (Bx)_i / x_i <= rho(B) <= hi = max (Bx)_i / x_i`` hold
     whatever x is, and ``hi - lo <= tol * lo`` certifies their midpoint: ``tol``
-    bounds the forward error.  At n <= 16 Arnoldi could not stop before its
-    basis spans R^n, so the rightmost eigenvector of B itself, from one
-    dense eigendecomposition, is tested instead.  Otherwise (a dominant
+    bounds the forward error.  At n <= 32, where Arnoldi's basis spans R^n
+    by its second check and one dense eigendecomposition costs less, the
+    rightmost eigenvector of B itself is tested instead.  Otherwise (a dominant
     eigenvector with zero entries, nearly decoupled blocks, strongly
     non-normal matrices) the radius comes from a dense eigenvalue solve.
     """
@@ -290,7 +291,7 @@ def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         return top * spectral_radius(A / top, tol)
     s = float(np.max(A.sum(axis=1)))
     B = A / s
-    rho = (_certified_radius(B, np.eye(n), B, tol) if n <= ARNOLDI_FIRST_CHECK
+    rho = (_certified_radius(B, np.eye(n), B, tol) if n <= 2 * ARNOLDI_FIRST_CHECK
            else _arnoldi_radius(B, tol))
     if rho is not None:
         return s * rho

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +227,24 @@ def test_csv_scenario_through_cli(tmp_path):
     assert main(["validate", "--economy", str(matrix)]) == 0
 
 
+@given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                          st.booleans(), st.sampled_from(["I", "J", ""])),
+                min_size=1, max_size=5))
+def test_table_cells_are_formatted_as_by_format_spec(cells):
+    # Floats to 12 significant digits, ints and bools in decimal (True is 1),
+    # strings as themselves, each right-aligned in 14 columns.
+    rows = [{"x": x, "k": k, "flag": flag, "class": label} for x, k, flag, label in cells]
+    expected = ["  ".join(f"{name:>14}" for name in rows[0])]
+    expected += ["  ".join(f"{value:>14.12g}" if isinstance(value, float) else f"{value:>14}"
+                           for value in row.values()) for row in rows]
+    assert cli._table_lines(rows) == expected
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_rounded_vectors_keep_twelve_significant_digits(values):
+    assert cli._vec(np.array(values)) == [float(f"{v:.12g}") for v in values]
+
+
 def test_batch_mode(tmp_path, capsys):
     scenarios = tmp_path / "scenarios"
     scenarios.mkdir()
@@ -237,6 +258,121 @@ def test_batch_mode(tmp_path, capsys):
     assert "two.json (exit 2)" in stdout
     assert (out_dir / "one.report.json").exists()
     assert (out_dir / "two.report.json").exists()
+
+
+def _mixed_batch(tmp_path) -> Path:
+    """A batch whose scenarios exit 0, 2 (unbalanced), 1 (not JSON) and 0."""
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    _write(scenarios, "a_e1.json", E1_DOC)
+    _write(scenarios, "b_unbalanced.json", dict(E1_DOC, c=[2.0, 2.0]))
+    (scenarios / "c_broken.json").write_text("{not json", encoding="utf-8")
+    _write(scenarios, "d_subsidy.json", SUBSIDY_DOC)
+    return scenarios
+
+
+def _batch_outputs(scenarios, out_dir, capsys) -> tuple:
+    code = main(["report", "--batch", str(scenarios), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return code, captured.out, captured.err, files
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools that run_batch constructs."""
+    import concurrent.futures
+
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
+
+
+def _forbid_pools(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_batch constructed a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="batch workers are forked on Linux only")
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 4)])
+def test_pooled_batch_matches_inline_batch(tmp_path, capsys, monkeypatch, pools, cpus, workers):
+    # One worker per usable CPU up to the number of scenarios; standard
+    # output, the --out files and the worst exit code are those of a run in
+    # this process, and every worker is joined when main() returns.
+    scenarios = _mixed_batch(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pooled = _batch_outputs(scenarios, tmp_path / "pooled", capsys)
+    assert pools == [workers]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _forbid_pools(monkeypatch)
+    inline = _batch_outputs(scenarios, tmp_path / "inline", capsys)
+    assert pooled == inline
+    code, out, err, files = inline
+    assert code == 2 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("== ")] == [
+        "== a_e1.json (exit 0) ==", "== b_unbalanced.json (exit 2) ==",
+        "== c_broken.json (exit 1) ==", "== d_subsidy.json (exit 0) =="]
+    assert sorted(files) == ["a_e1.report.json", "b_unbalanced.report.json",
+                             "d_subsidy.report.json"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="batch workers are forked on Linux only")
+def test_a_dead_batch_worker_is_one_error_line(tmp_path, capsys, monkeypatch, pools):
+    scenarios = _mixed_batch(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_scenario = cli._run_scenario
+
+    def dying(config):
+        if config.economy_path.name == "b_unbalanced.json":
+            os._exit(3)
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "_run_scenario", dying)
+    code, out, err, _ = _batch_outputs(scenarios, tmp_path / "out", capsys)
+    assert pools == [2]
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in out + err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one-scenario", "one-cpu", "live-thread"])
+def test_batch_runs_in_process_where_a_pool_cannot_help_or_fork_is_unsafe(
+        tmp_path, capsys, monkeypatch, case):
+    _forbid_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one-cpu" else {0, 1},
+                        raising=False)
+    if case == "one-scenario":
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        _write(scenarios, "a_e1.json", E1_DOC)
+    else:
+        scenarios = _mixed_batch(tmp_path)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "live-thread":
+        thread.start()
+    try:
+        code, out, err, files = _batch_outputs(scenarios, tmp_path / "out", capsys)
+    finally:
+        release.set()
+        if case == "live-thread":
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert code == (0 if case == "one-scenario" else 2)
+    assert err == "" and "== a_e1.json (exit 0) ==" in out
+    assert "a_e1.report.json" in files
 
 
 def test_module_entry_point(tmp_path, e1_path):

@@ -118,11 +118,12 @@ def test_spectral_radius_matches_eigvals(name, A):
 
 def test_spectral_radius_is_certified_without_eigvals(monkeypatch):
     # A certified Arnoldi estimate never reaches the dense fallback, nor at
-    # n <= 16 does a certified dense eigendecomposition.
+    # n <= 32 does a certified dense eigendecomposition.
     rng = np.random.default_rng(8)
     matrices = [random_irreducible_productive(rng, n) for n in (3, 10, 60, 100, 400)]
     matrices += [coupled_blocks(rng, 1e-3, size) for size in (20, 200)]
-    matrices += [random_irreducible_productive(rng, n) for n in range(1, ARNOLDI_FIRST_CHECK + 1)]
+    matrices += [random_irreducible_productive(rng, n)
+                 for n in range(1, 2 * ARNOLDI_FIRST_CHECK + 1)]
     expected = [float(np.max(np.abs(np.linalg.eigvals(A)))) for A in matrices]
 
     def no_eigvals(A):
@@ -141,6 +142,22 @@ def test_spectral_radius_on_either_side_of_the_first_check(n):
         A[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.5)] = 0.0
         expected = float(np.max(np.abs(np.linalg.eigvals(A))))
         assert abs(spectral_radius(A) - expected) <= 1e-10 * max(expected, np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n, dense", [(16, True), (17, True), (24, True), (32, True),
+                                      (33, False), (48, False)])
+def test_radius_from_one_eigendecomposition_up_to_the_second_check(n, dense, monkeypatch):
+    # Up to Arnoldi's second check (32 vectors) the radius comes from one
+    # certified eigendecomposition of the whole matrix; above it, from Arnoldi.
+    arnoldi = []
+    real = matcheck._arnoldi_radius
+    monkeypatch.setattr(matcheck, "_arnoldi_radius",
+                        lambda B, tol: arnoldi.append(B.shape) or real(B, tol))
+    rng = np.random.default_rng(n)
+    for A in (random_irreducible_productive(rng, n), rng.uniform(size=(n, n))):
+        expected = float(np.max(np.abs(np.linalg.eigvals(A))))
+        assert abs(spectral_radius(A) - expected) <= 1e-10 * expected
+    assert arnoldi == ([] if dense else [(n, n)] * 2)
 
 
 def _counting_eigvals(monkeypatch) -> list:
