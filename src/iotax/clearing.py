@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ._qp import solve_qp
-from .equilibrium import PriceVector, SolverConfig, _demand, solve_price_balance
+from .equilibrium import PriceVector, SolverConfig, _demand, _solve_price_balance
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -67,9 +67,7 @@ class ClearingProblem:
         if np.any(row_sums <= 0):
             k = int(np.argmin(row_sums))
             raise ZeroColumnError(f"row {k} of C sums to zero")
-        b = _as_float_vector(self.b, "b", C.shape[0])
-        if np.any(b <= 0):
-            raise DomainError("b must be strictly positive")
+        b = _positive_b(self.b, C.shape[0])
         C.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -249,9 +247,19 @@ def min_excess_solution(problem: ClearingProblem,
     """
     if cfg is None:
         cfg = ClearingConfig()
-    C, b = problem.C, problem.b
-    l = problem.l
+    z, objective, full, kkt, iterations = _min_excess(problem.C, problem.b, cfg)
+    alpha, c_alpha = alpha_from_solution(problem, z, tol_eq=cfg.tol_eq)
+    return SolutionFamily(
+        d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z, objective=objective,
+        full_clearing=full, kkt_residual=kkt, qp_iterations=iterations,
+    )
 
+
+def _min_excess(C, b, cfg: ClearingConfig) -> tuple[np.ndarray, float, bool, float, int]:
+    """:func:`min_excess_solution`'s z, objective, full-clearing flag, KKT
+    residual and QP steps for a validated problem's C and b, without the
+    simplex parameters."""
+    l = C.shape[1]
     gram = C.T @ C
     ridge = RIDGE * max(1.0, float(np.max(gram.diagonal())))
     H = 2.0 * (gram + ridge * np.eye(l))
@@ -264,12 +272,7 @@ def min_excess_solution(problem: ClearingProblem,
         raise ConvergenceError(
             f"minimal-excess optimality could not be certified: KKT residual {kkt:.3e}"
         )
-    alpha, c_alpha = alpha_from_solution(problem, z, tol_eq=cfg.tol_eq)
-    return SolutionFamily(
-        d=problem.d, alpha=alpha, c_alpha=c_alpha, z=z,
-        objective=float(residual @ residual), full_clearing=full, kkt_residual=kkt,
-        qp_iterations=qp.iterations,
-    )
+    return z, float(residual @ residual), full, kkt, qp.iterations
 
 
 def _polish_min_norm(C, b, z, free, rows, tol_eq: float) -> np.ndarray:
@@ -337,6 +340,13 @@ def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarra
     rows = sorted(set(int(k) for k in support))
     if not rows or rows[0] < 0 or rows[-1] >= n:
         raise DomainError(f"support must be a nonempty subset of 0..{n - 1}")
+    return _support(A, b, rows, tol_eq)
+
+
+def _support(A, b, rows, tol_eq: float) -> np.ndarray | None:
+    """:func:`support_solution` for a validated A and b and sorted, distinct
+    support ``rows``."""
+    n = A.shape[0]
     sub = A[np.ix_(rows, rows)]
     target = b[rows]
     gate = SUPPORT_GATE * max(1.0, float(np.max(target)))
@@ -349,9 +359,9 @@ def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarra
         return None  # no solution, or the unique one is not nonnegative
     z = np.zeros(n)
     z[rows] = np.maximum(z_sub, 0.0)
-    slack = b - A @ z
-    others = np.setdiff1d(np.arange(n), rows)
-    if others.size and np.any(slack[others] <= tol_eq * np.maximum(1.0, b[others])):
+    others = np.ones(n, dtype=bool)
+    others[rows] = False
+    if np.any((b - A @ z)[others] <= tol_eq * np.maximum(1.0, b[others])):
         return None  # a row outside the support clears; not strict
     return z
 
@@ -364,7 +374,7 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     demand system against the original b, and assembles generalized prices
     and the excess supply level.
     """
-    return _equilibrium(A, b, z, None, cfg)
+    return _validated_equilibrium(A, b, z, None, cfg)
 
 
 def equilibrium_at_prices(A, b, z, price: PriceVector,
@@ -372,34 +382,55 @@ def equilibrium_at_prices(A, b, z, price: PriceVector,
     """:func:`equilibrium_from_solution` at prices already solved for z (or
     any positive multiple of z); they must vanish on the rows that do not
     clear."""
-    return _equilibrium(A, b, z, price, cfg)
+    return _validated_equilibrium(A, b, z, price, cfg)
 
 
-def _equilibrium(A, b, z, price: PriceVector | None,
-                 cfg: ClearingConfig | None) -> ClearingEquilibrium:
+def _validated_equilibrium(A, b, z, price: PriceVector | None,
+                           cfg: ClearingConfig | None) -> ClearingEquilibrium:
     if cfg is None:
         cfg = ClearingConfig()
     A, b = _square_system(A, b)
-    n = A.shape[0]
-    z = _as_float_vector(z, "z", n)
-    if float(np.min(z)) < -cfg.tol_eq * max(1.0, float(np.max(np.abs(z)))):
-        raise NotASolutionError("z has negative components")
-    z = np.maximum(z, 0.0)
+    z = _nonnegative_z(z, A.shape[0], cfg.tol_eq)
+    return _equilibrium(A, b, z, _clearing_rows(A, b, z, cfg.tol_eq), price, cfg)[0]
 
+
+def _nonnegative_z(z, n: int, tol_eq: float) -> np.ndarray:
+    """A clearing solution of length n; entries down to -tol_eq * max(1, max|z|)
+    become 0."""
+    z = _as_float_vector(z, "z", n)
+    if float(np.min(z)) < -tol_eq * max(1.0, float(np.max(np.abs(z)))):
+        raise NotASolutionError("z has negative components")
+    return np.maximum(z, 0.0)
+
+
+def _clearing_rows(A, b, z, tol_eq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real consumption A z and the mask of the rows where it meets b within
+    the band ``tol_eq * max(1, b_k)``, for a nonnegative z; raises unless
+    A z <= b holds within the band with at least one row at equality."""
     b_bar = A @ z
-    band = cfg.tol_eq * np.maximum(1.0, b)
+    band = tol_eq * np.maximum(1.0, b)
     slack = b - b_bar
     if np.any(slack < -band):
         raise NotASolutionError("z violates A z <= b")
     equality = slack <= band
+    if not equality.any():
+        raise DegenerateSupportError("no row of A z = b holds with equality")
+    return b_bar, equality
+
+
+def _equilibrium(A, b, z, rows: tuple[np.ndarray, np.ndarray], price: PriceVector | None,
+                 cfg: ClearingConfig) -> tuple[ClearingEquilibrium, tuple]:
+    """The equilibrium induced by a nonnegative z with ``rows`` from
+    :func:`_clearing_rows`, for a validated A and b, and the
+    :func:`_evaluate_rows` result that verified it."""
+    b_bar, equality = rows
+    n = A.shape[0]
     I = np.flatnonzero(equality)
     J = np.flatnonzero(~equality)
-    if I.size == 0:
-        raise DegenerateSupportError("no row of A z = b holds with equality")
 
     if price is None:
         try:
-            restricted = solve_price_balance(A[np.ix_(I, I)], z[I], cfg.solver)
+            restricted = _solve_price_balance(A[np.ix_(I, I)], z[I], cfg.solver)
         except (DegenerateInputError, DomainError, ConvergenceError) as exc:
             raise NoEquilibriumError(f"restricted price solve failed: {exc}") from exc
         p = np.zeros(n)
@@ -408,7 +439,8 @@ def _equilibrium(A, b, z, price: PriceVector | None,
     elif np.any(price.p[J] != 0):
         raise NoEquilibriumError("prices must vanish on the rows that do not clear")
 
-    _, row_ok, ok = _evaluate_rows(A, b, price.p, equality, cfg.verify_tol)
+    evaluation = _evaluate_rows(A, b, price.p, equality, cfg.verify_tol)
+    _, row_ok, ok = evaluation
     if not ok:
         failing = np.flatnonzero(~row_ok).tolist()
         raise NoEquilibriumError(
@@ -422,9 +454,9 @@ def _equilibrium(A, b, z, price: PriceVector | None,
     # Equality rows may overshoot b by band noise; feasibility was already
     # gated, so a negative value here is noise and R stays in [0, 1).
     R = max(0.0, float((b - b_bar) @ p_u / (b @ p_u)))
-    return ClearingEquilibrium(z=z, I_set=frozenset(int(k) for k in I),
-                               J_set=frozenset(int(k) for k in J), b_bar=b_bar,
-                               p=price, p_u=p_u, R=R)
+    equilibrium = ClearingEquilibrium(z=z, I_set=frozenset(I.tolist()), J_set=frozenset(J.tolist()),
+                                      b_bar=b_bar, p=price, p_u=p_u, R=R)
+    return equilibrium, evaluation
 
 
 def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
@@ -440,13 +472,20 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
     p = _as_float_vector(equilibrium.p, "equilibrium prices", n, held="p")
     equality = np.zeros(n, dtype=bool)
     equality[list(equilibrium.I_set)] = True
-    demand, row_ok, ok = _evaluate_rows(A, b, p, equality, tol)
+    slack = np.zeros(n, dtype=bool)
+    slack[list(equilibrium.J_set)] = True
+    return _clearing_check(b, p, equality, slack, _evaluate_rows(A, b, p, equality, tol), tol)
+
+
+def _clearing_check(b, p, equality, slack, evaluation, tol) -> ClearingCheck:
+    """The rows and verdict of :func:`_evaluate_rows`' ``evaluation`` at
+    prices ``p``, where a ``slack`` row also fails if its price exceeds
+    ``tol`` times the largest price."""
+    demand, row_ok, ok = evaluation
     top = float(np.max(p)) if p.size else 0.0
     if top > 0:
-        priced = np.zeros(n, dtype=bool)
-        priced[list(equilibrium.J_set)] = True
-        priced &= p > tol * top
-        row_ok &= ~priced
+        priced = slack & (p > tol * top)
+        row_ok = row_ok & ~priced
         ok = ok and not bool(priced.any())
     rows = tuple(
         RowCheck(industry=k, demand=d, bound=bound, in_I=in_I, ok=row)
@@ -459,10 +498,15 @@ def verify_partial_clearing(A, b, equilibrium: ClearingEquilibrium,
 def _square_system(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Validated cost matrix A and a strictly positive b of its size."""
     A = _as_float_matrix(A, "cost matrix")
-    b = _as_float_vector(b, "b", A.shape[0])
+    return A, _positive_b(b, A.shape[0])
+
+
+def _positive_b(b, n: int) -> np.ndarray:
+    """b as a float vector of length n, which must be strictly positive."""
+    b = _as_float_vector(b, "b", n)
     if np.any(b <= 0):
         raise DomainError("b must be strictly positive")
-    return A, b
+    return b
 
 
 def _evaluate_rows(A, b, p, equality, tol) -> tuple[np.ndarray, np.ndarray, bool]:

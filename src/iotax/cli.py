@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import threading
 from dataclasses import dataclass
@@ -161,7 +162,8 @@ def _config_from_args(args, economy_path: Path) -> ScenarioConfig:
 
 def run(config: ScenarioConfig) -> tuple[int, dict]:
     """Execute one scenario: print the human table (an error or rejection
-    goes to standard error instead), write --out, return (code, report)."""
+    goes to standard error instead), write --out (an existing file is
+    rewritten in place; a device or FIFO works too), return (code, report)."""
     code, report, lines, failed = _run_scenario(config)
     for line in lines:
         print(line, file=sys.stderr if failed else sys.stdout)
@@ -169,10 +171,11 @@ def run(config: ScenarioConfig) -> tuple[int, dict]:
 
 
 def _run_scenario(config: ScenarioConfig) -> tuple[int, dict, list[str], bool]:
-    """Execute one scenario and write --out.
+    """Execute one scenario and write --out with :func:`_write_in_place`.
 
     Returns (code, report, lines, failed); when ``failed`` is true, the one
-    line is the error or rejection message and nothing was written.
+    line is the error or rejection message, and nothing was written unless
+    writing --out itself failed part way.
     """
     try:
         code, report, lines = _execute(config)
@@ -182,11 +185,29 @@ def _run_scenario(config: ScenarioConfig) -> tuple[int, dict, list[str], bool]:
         return EXIT_REJECTED, {"error": str(exc)}, [f"rejected: {exc}"], True
     if config.out_path is not None:
         try:
-            config.out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+            _write_in_place(config.out_path,
+                            (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8"))
         except OSError as exc:
             return EXIT_INPUT, {"error": str(exc)}, [f"error: {exc}"], True
     return code, report, lines, False
+
+
+def _write_in_place(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, created with mode 0o666 under the umask
+    if missing, as ``Path.write_bytes`` would, but rewrite an existing file
+    in place: opening without O_TRUNC and cutting a regular file to the new
+    length afterwards keeps its blocks, which truncating first frees and
+    reallocates.  A device or FIFO (``/dev/null``, a pipe) is written, never
+    truncated."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def run_batch(args) -> int:
@@ -473,34 +494,42 @@ def _load_clearing(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_clear(config: ScenarioConfig):
+    """Validates the system once: a ClearingProblem for the minimal-excess
+    path, b alone for a given --z (whose A may have a zero row or column);
+    the clearing cores then take the arrays as they are.  Output is that of
+    min_excess_solution, equilibrium_from_solution, support_solution and
+    verify_partial_clearing called in turn."""
     A, b = _load_clearing(config)
     cfg = clr.ClearingConfig(solver=config.solver, verify_tol=config.tol)
     report: dict = {"command": "clear"}
     lines: list[str] = []
     if config.z_path is not None:
         z = load_vector(config.z_path)
+        b = clr._positive_b(b, A.shape[0])
+        z = clr._nonnegative_z(z, A.shape[0], cfg.tol_eq)
     else:
-        family = clr.min_excess_solution(clr.ClearingProblem(C=A, b=b), cfg)
-        z = family.z
-        report["objective"] = _round12(family.objective)
-        report["full_clearing"] = family.full_clearing
-        lines.append(f"minimal excess objective: {family.objective:.12g}"
-                     + ("  (full clearing)" if family.full_clearing else ""))
+        problem = clr.ClearingProblem(C=A, b=b)
+        A, b = problem.C, problem.b
+        z, objective, full_clearing, _, _ = clr._min_excess(A, b, cfg)
+        report["objective"] = _round12(objective)
+        report["full_clearing"] = full_clearing
+        lines.append(f"minimal excess objective: {objective:.12g}"
+                     + ("  (full clearing)" if full_clearing else ""))
+    rows = clr._clearing_rows(A, b, z, cfg.tol_eq)
     try:
-        equilibrium = clr.equilibrium_from_solution(A, b, z, cfg)
+        equilibrium, evaluation = clr._equilibrium(A, b, z, rows, None, cfg)
     except NoEquilibriumError:
         if config.z_path is not None:
             raise
         # The minimizer may weight columns of strict-inequality rows; retry
-        # with the support-restricted solve on the detected equality set.
-        slack = b - A @ z
-        rows = np.flatnonzero(slack <= cfg.tol_eq * np.maximum(1.0, b))
-        retry = clr.support_solution(A, b, rows) if rows.size else None
-        if retry is None:
+        # with the support-restricted solve on its equality rows.
+        z = clr._support(A, b, np.flatnonzero(rows[1]), cfg.tol_eq)
+        if z is None:
             raise
-        z = retry
-        equilibrium = clr.equilibrium_from_solution(A, b, z, cfg)
-    check = clr.verify_partial_clearing(A, b, equilibrium, cfg.verify_tol)
+        rows = clr._clearing_rows(A, b, z, cfg.tol_eq)
+        equilibrium, evaluation = clr._equilibrium(A, b, z, rows, None, cfg)
+    _, equality = rows
+    check = clr._clearing_check(b, equilibrium.p.p, equality, ~equality, evaluation, cfg.verify_tol)
     report.update({
         "z": _vec(equilibrium.z),
         "I": _indices(equilibrium.I_set),

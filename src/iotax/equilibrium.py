@@ -106,12 +106,18 @@ def solve_price_balance(A, z, cfg: SolverConfig | None = None) -> PriceVector:
     if cfg is None:
         cfg = SolverConfig()
     A = _as_float_matrix(A, "cost matrix")
+    z = _as_float_vector(z, "z", A.shape[0])
+    if np.any(z < 0):
+        raise DomainError("z must be nonnegative")
+    return _solve_price_balance(A, z, cfg)
+
+
+def _solve_price_balance(A: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> PriceVector:
+    """:func:`solve_price_balance` for a validated A and a nonnegative z of
+    its size."""
     if not np.any(A > 0):
         raise DomainError("cost matrix must be nonzero")
     n = A.shape[0]
-    z = _as_float_vector(z, "z", n)
-    if np.any(z < 0):
-        raise DomainError("z must be nonnegative")
     with np.errstate(over="ignore"):
         w = A @ z
     if not np.all(np.isfinite(w)):

@@ -17,10 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E1_DOC, SUBSIDY_DOC, random_irreducible_productive
-from iotax import SolverConfig, analyze_matrix, demand_regime, load_economy
+from iotax import (
+    ClearingConfig,
+    ClearingProblem,
+    SolverConfig,
+    analyze_matrix,
+    demand_regime,
+    equilibrium_from_solution,
+    load_economy,
+    min_excess_solution,
+    support_solution,
+    verify_partial_clearing,
+)
 from iotax import cli
 from iotax.cli import main
-from iotax.errors import DomainError, ParseError
+from iotax.errors import DomainError, NoEquilibriumError, ParseError
 
 CLEAR_DOC = {"A": [[1.0, 2.0], [2.0, 4.0]], "b": [1.0, 1.0]}
 
@@ -116,6 +127,161 @@ def test_clear_with_user_solution(tmp_path):
     report = json.loads(out.read_text())
     assert report["p"] == [0.0, 1.0]
     assert report["p_u"] == [2.0, 1.0]
+
+
+def _reference_clear(config):
+    """The clear command as calls of the public clearing functions, each of
+    which validates its inputs: the reference for the CLI, which validates
+    once and calls the functions' cores."""
+    A, b = cli._load_clearing(config)
+    cfg = ClearingConfig(solver=config.solver, verify_tol=config.tol)
+    report: dict = {"command": "clear"}
+    lines: list[str] = []
+    if config.z_path is not None:
+        z = cli.load_vector(config.z_path)
+    else:
+        family = min_excess_solution(ClearingProblem(C=A, b=b), cfg)
+        z = family.z
+        report["objective"] = cli._round12(family.objective)
+        report["full_clearing"] = family.full_clearing
+        lines.append(f"minimal excess objective: {family.objective:.12g}"
+                     + ("  (full clearing)" if family.full_clearing else ""))
+    try:
+        equilibrium = equilibrium_from_solution(A, b, z, cfg)
+    except NoEquilibriumError:
+        if config.z_path is not None:
+            raise
+        rows = np.flatnonzero(b - A @ z <= cfg.tol_eq * np.maximum(1.0, b))
+        z = support_solution(A, b, rows)
+        if z is None:
+            raise
+        equilibrium = equilibrium_from_solution(A, b, z, cfg)
+    check = verify_partial_clearing(A, b, equilibrium, cfg.verify_tol)
+    report.update({
+        "z": cli._vec(equilibrium.z),
+        "I": cli._indices(equilibrium.I_set),
+        "J": cli._indices(equilibrium.J_set),
+        "b_bar": cli._vec(equilibrium.b_bar),
+        "p": cli._vec(equilibrium.p.p),
+        "p_u": cli._vec(equilibrium.p_u),
+        "R": cli._round12(equilibrium.R),
+        "verified": bool(check),
+        "rows": [{"industry": row.industry + 1, "demand": cli._round12(row.demand),
+                  "bound": cli._round12(row.bound), "clears": row.in_I, "ok": row.ok}
+                 for row in check.rows],
+    })
+    lines += [
+        f"clearing rows I: {report['I']}   slack rows J: {report['J']}",
+        f"prices p: {[f'{v:.12g}' for v in equilibrium.p.p]}",
+        f"generalized prices p_u: {[f'{v:.12g}' for v in equilibrium.p_u]}",
+        f"excess supply R: {equilibrium.R:.12g}",
+        f"verified: {bool(check)}",
+    ]
+    return cli.EXIT_OK, report, lines
+
+
+def _clear_calls(tmp_path) -> list[list[str]]:
+    """clear on 210 instances drawn as the benchmark draws them (dense A of
+    spectral radius 0.7, b = (1 - pi) o x, n = 2..8), every seventh also
+    with a --z scaled to touch b; on every eighth document of the
+    degenerate integer corpus (A in {0, 1, 2}, b in {1, 2, 3}, n = 2..6,
+    every row and column nonzero); and through --pi and --tol."""
+    rng = np.random.default_rng(18)
+    docs = []
+    for k in range(210):
+        n = 2 + k % 7
+        A = rng.uniform(0.0, 1.0, size=(n, n))
+        A *= 0.7 / float(np.max(np.abs(np.linalg.eigvals(A))))
+        x = np.linalg.solve(np.eye(n) - A, rng.uniform(0.5, 1.5, size=n))
+        docs.append((A, (1.0 - rng.uniform(0.2, 0.6, size=n)) * x))
+    corpus_rng = np.random.default_rng(7)
+    corpus = []
+    for n in range(2, 7):
+        for _ in range(300):
+            A = corpus_rng.integers(0, 3, size=(n, n))
+            b = corpus_rng.integers(1, 4, size=n)
+            if (A.sum(axis=0) > 0).all() and (A.sum(axis=1) > 0).all():
+                corpus.append((A, b))
+    assert len(corpus) == 1294
+    docs += corpus[::8]
+    calls = []
+    for k, (A, b) in enumerate(docs):
+        doc = _write(tmp_path, f"c{k}.json", {"A": A.tolist(), "b": b.tolist()})
+        calls.append(["clear", "--economy", str(doc)])
+        if k < 210 and k % 7 == 0:
+            z = rng.uniform(0.0, 1.0, size=len(b))
+            z /= float(np.max(A @ z / b))
+            calls.append([*calls[-1], "--z", str(_write(tmp_path, f"z{k}.json", z.tolist()))])
+    e1_pi = _write(tmp_path, "e1_pi.json", [0.5, 0.5])
+    e1 = _write(tmp_path, "e1.json", E1_DOC)
+    return calls + [["clear", "--economy", str(e1), "--pi", str(e1_pi)],
+                    ["clear", "--economy", str(_write(tmp_path, "fix.json", CLEAR_DOC)),
+                     "--tol", "1e-6"]]
+
+
+def test_clear_matches_the_public_functions_bit_for_bit(tmp_path, monkeypatch):
+    calls = _clear_calls(tmp_path)
+    results = {}
+    for mode in ("cli", "reference"):
+        if mode == "reference":
+            monkeypatch.setattr(cli, "_cmd_clear", _reference_clear)
+        results[mode] = []
+        for k, argv in enumerate(calls):
+            out = tmp_path / f"{mode}-{k}.json"
+            code, stdout, stderr = _run_main([*argv, "--out", str(out)])
+            results[mode].append((code, stdout, stderr.replace(str(out), "OUT"),
+                                  out.read_bytes() if out.exists() else None))
+    assert results["cli"] == results["reference"]
+    codes = [code for code, *_ in results["cli"]]
+    assert codes.count(0) >= 100 and codes.count(2) >= 100 and set(codes) == {0, 2}
+
+
+def test_clear_does_each_job_once(tmp_path, monkeypatch):
+    # An exit-0 clear evaluates the demand system once at the prices it
+    # reports (and never twice at the same prices), computes no simplex
+    # parameters, and validates the matrix at most twice: once where it is
+    # read and once as a ClearingProblem.
+    import iotax.clearing
+    import iotax.equilibrium
+    import iotax.model
+
+    demand_prices = []
+    demand = iotax.equilibrium._demand
+    for module in (iotax.equilibrium, iotax.clearing):
+        monkeypatch.setattr(module, "_demand",
+                            lambda A, b, p: demand_prices.append(p.tobytes()) or demand(A, b, p))
+    alpha_calls = []
+    monkeypatch.setattr(iotax.clearing, "alpha_from_solution",
+                        lambda *a, **k: alpha_calls.append(1))
+    matrix_calls = []
+    as_matrix = iotax.model._as_float_matrix
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "iotax" and getattr(module, "_as_float_matrix", None) is as_matrix:
+            monkeypatch.setattr(module, "_as_float_matrix",
+                                lambda *a, **k: matrix_calls.append(1) or as_matrix(*a, **k))
+    retried = []
+    support = iotax.clearing._support
+    monkeypatch.setattr(iotax.clearing, "_support",
+                        lambda *a: retried.append(1) or support(*a))
+    paths = set()
+    for argv in _clear_calls(tmp_path):
+        demand_prices.clear()
+        matrix_calls.clear()
+        retried.clear()
+        out = tmp_path / "out.json"
+        if _run_main([*argv, "--out", str(out)])[0] != 0:
+            continue
+        # Without the support retry, only the minimizer's z is tried; with
+        # it, that z's demand test may have failed before the retry's.
+        assert len(demand_prices) in ((1, 2) if retried else (1,))
+        assert len(set(demand_prices)) == len(demand_prices)
+        prices = np.array(json.loads(out.read_text())["p"])
+        assert np.allclose(np.frombuffer(demand_prices[-1]), prices / prices.sum(),
+                           rtol=1e-10, atol=1e-12)
+        assert len(matrix_calls) <= 2
+        paths.add((bool(retried), len(demand_prices)))
+    assert not alpha_calls
+    assert {(False, 1), (True, 1), (True, 2)} <= paths
 
 
 def test_default_command_is_report(tmp_path, e1_path):
@@ -217,6 +383,54 @@ def test_byte_identical_reports(tmp_path, e1_path):
     assert main(["report", "--economy", str(e1_path), "--out", str(out1)]) == 0
     assert main(["report", "--economy", str(e1_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_out_rewrites_a_longer_file_to_the_bytes_of_a_fresh_write(tmp_path, capsys):
+    doc = _write(tmp_path, "clear.json", CLEAR_DOC)
+    fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+    assert main(["clear", "--economy", str(doc), "--out", str(fresh)]) == 0
+    stale.write_bytes(b"x" * (3 * fresh.stat().st_size))
+    assert main(["clear", "--economy", str(doc), "--out", str(stale)]) == 0
+    assert stale.read_bytes() == fresh.read_bytes()
+    # Every file of a batch output directory, scenarios that fail included.
+    capsys.readouterr()
+    scenarios = _mixed_batch(tmp_path)
+    first = _batch_outputs(scenarios, tmp_path / "first", capsys)
+    rewritten = tmp_path / "rewritten"
+    rewritten.mkdir()
+    for name, data in first[3].items():
+        (rewritten / name).write_bytes(data + b" " * 4096)
+    assert _batch_outputs(scenarios, rewritten, capsys) == first
+
+
+def test_out_to_a_device_or_fifo_is_written_without_truncation(tmp_path, e1_path):
+    fresh = tmp_path / "fresh.json"
+    assert main(["report", "--economy", str(e1_path), "--out", str(fresh)]) == 0
+    doc = _write(tmp_path, "clear.json", CLEAR_DOC)
+    assert main(["clear", "--economy", str(doc), "--out", os.devnull]) == 0
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main(["report", "--economy", str(e1_path), "--out", str(fifo)])
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0 and received == [fresh.read_bytes()]
+
+
+def test_a_new_out_file_gets_the_mode_of_write_text(tmp_path, e1_path):
+    out, reference = tmp_path / "out.json", tmp_path / "reference.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(["validate", "--economy", str(e1_path), "--out", str(out)]) == 0
+        reference.write_text("{}\n", encoding="utf-8")
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode == reference.stat().st_mode
+    assert out.stat().st_mode & 0o777 == 0o640
 
 
 def test_csv_scenario_through_cli(tmp_path):
