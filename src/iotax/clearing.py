@@ -374,24 +374,11 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     demand system against the original b, and assembles generalized prices
     and the excess supply level.
     """
-    return _validated_equilibrium(A, b, z, None, cfg)
-
-
-def equilibrium_at_prices(A, b, z, price: PriceVector,
-                          cfg: ClearingConfig | None = None) -> ClearingEquilibrium:
-    """:func:`equilibrium_from_solution` at prices already solved for z (or
-    any positive multiple of z); they must vanish on the rows that do not
-    clear."""
-    return _validated_equilibrium(A, b, z, price, cfg)
-
-
-def _validated_equilibrium(A, b, z, price: PriceVector | None,
-                           cfg: ClearingConfig | None) -> ClearingEquilibrium:
     if cfg is None:
         cfg = ClearingConfig()
     A, b = _square_system(A, b)
     z = _nonnegative_z(z, A.shape[0], cfg.tol_eq)
-    return _equilibrium(A, b, z, _clearing_rows(A, b, z, cfg.tol_eq), price, cfg)[0]
+    return _equilibrium(A, b, z, _clearing_rows(A, b, z, cfg.tol_eq), None, cfg)[0]
 
 
 def _nonnegative_z(z, n: int, tol_eq: float) -> np.ndarray:

@@ -581,9 +581,14 @@ def _cmd_report(config: ScenarioConfig):
     # Prices are scale-invariant in z, so the tax table's prices (z = x) are
     # the equilibrium prices of the clearing solution z = scale_b * x.  The
     # retained value (1 - pi) o x is formed as scale_b * (A x): forming
-    # 1 - pi cancels when a rate is near 1.
+    # 1 - pi cancels when a rate is near 1.  The clearing cores need no
+    # validation here: model.A is validated, z > 0, and b > 0 because a rate
+    # that rounds to 1 is rejected.
     b = system.scale_b * (model.A @ model.x)
-    equilibrium = clr.equilibrium_at_prices(model.A, b, system.scale_b * model.x, price)
+    z = system.scale_b * model.x
+    cfg = clr.ClearingConfig()
+    rows = clr._clearing_rows(model.A, b, z, cfg.tol_eq)
+    equilibrium, _ = clr._equilibrium(model.A, b, z, rows, price, cfg)
     report["excess_supply"] = _round12(equilibrium.R)
     lines.append(f"excess supply under this system: {equilibrium.R:.12g}")
     return EXIT_OK, report, lines

@@ -317,31 +317,18 @@ def verify_clearing(A, x, tax, p, tol: float = 1e-9) -> list[ClearingReportRow]:
         k = int(np.flatnonzero(bad)[0])
         raise DegenerateInputError(f"zero cost denominator at industry {k} with positive demand")
 
-    rows = []
-    violations = []
-    for k in range(n):
-        band = tol * max(1.0, supply[k])
-        if abs(demand[k] - supply[k]) <= band:
-            status = RowStatus.CLEARED
-        elif demand[k] < supply[k]:
-            status = RowStatus.EXCESS
-        else:
-            violations.append(k)
-            status = RowStatus.EXCESS
-        rows.append(ClearingReportRow(
-            industry=k,
-            demand_side=float(demand[k]),
-            supply_side=float(supply[k]),
-            status=status,
-        ))
-    if violations:
-        worst = max(violations, key=lambda k: rows[k].demand_side - rows[k].supply_side)
+    cleared = np.abs(demand - supply) <= tol * np.maximum(1.0, supply)
+    violations = np.flatnonzero(~cleared & ~(demand < supply))
+    if violations.size:
+        worst = int(violations[np.argmax((demand - supply)[violations])])
         raise NotEquilibriumError(
-            f"demand exceeds supply at industries {violations} "
-            f"(worst: industry {worst}, demand {rows[worst].demand_side:.6g} "
-            f"> supply {rows[worst].supply_side:.6g}); prices are not an equilibrium"
+            f"demand exceeds supply at industries {violations.tolist()} "
+            f"(worst: industry {worst}, demand {demand[worst]:.6g} "
+            f"> supply {supply[worst]:.6g}); prices are not an equilibrium"
         )
-    return rows
+    return [ClearingReportRow(industry=k, demand_side=d, supply_side=s,
+                              status=RowStatus.CLEARED if c else RowStatus.EXCESS)
+            for k, (d, s, c) in enumerate(zip(demand.tolist(), supply.tolist(), cleared.tolist()))]
 
 
 def _demand(A, supply, p) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,9 @@ from iotax import (
 from iotax.clearing import (
     ClearingConfig,
     ClearingEquilibrium,
+    _clearing_rows,
+    _equilibrium,
     _kkt_residual,
-    equilibrium_at_prices,
 )
 from iotax.equilibrium import Normalization, _demand
 from iotax.errors import (
@@ -416,16 +417,22 @@ def test_equilibrium_with_a_tiny_exact_price():
     assert verify_partial_clearing(A, b, equilibrium)
 
 
+def _equilibrium_at(A, b, z, price, cfg=ClearingConfig()):
+    """The clearing core at given prices, as report calls it."""
+    return _equilibrium(A, b, z, _clearing_rows(A, b, z, cfg.tol_eq), price, cfg)[0]
+
+
 def test_equilibrium_at_known_prices():
     # The same equilibrium from prices solved elsewhere; prices that do not
     # vanish on the slack row are refused.
-    solved = equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25])
-    reused = equilibrium_at_prices(A_FIX, B_FIX, [0.0, 0.25], solved.p)
+    z = np.array([0.0, 0.25])
+    solved = equilibrium_from_solution(A_FIX, B_FIX, z)
+    reused = _equilibrium_at(A_FIX, B_FIX, z, solved.p)
     assert reused.R == solved.R and np.array_equal(reused.p_u, solved.p_u)
     wrong = PriceVector(p=[0.5, 0.5], normalization=solved.p.normalization,
                         lambda_residual=0.0, fp_residual=0.0)
     with pytest.raises(NoEquilibriumError, match="vanish"):
-        equilibrium_at_prices(A_FIX, B_FIX, [0.0, 0.25], wrong)
+        _equilibrium_at(A_FIX, B_FIX, z, wrong)
 
 
 def test_equilibrium_zero_solution_rejected():
@@ -510,7 +517,7 @@ def test_row_verdicts_match_a_per_row_check():
         price = PriceVector(p=p, normalization=Normalization.SUM_TO_ONE, lambda_residual=0.0,
                             fp_residual=0.0)
         try:
-            equilibrium_at_prices(A, b, z, price, ClearingConfig(verify_tol=tol))
+            _equilibrium_at(A, b, z, price, ClearingConfig(verify_tol=tol))
         except NoEquilibriumError as exc:
             assert f"the demand system is not satisfied at rows {failing};" in str(exc)
             outcomes.add("rejected")

@@ -75,6 +75,22 @@ def test_check_tax_accepts(tmp_path, e1_path):
     assert code == 0
 
 
+def test_check_tax_outside_the_range_of_a_singular_matrix(tmp_path, capsys):
+    # A is singular, so the LU solve fails and the nonnegative least-squares
+    # fallback answers: (1 - pi) o x = [5, 2] is not a multiple of [1, 1].
+    economy = _write(tmp_path, "singular.json", {
+        "A": [[0.3, 0.3], [0.3, 0.3]], "x": [10.0, 10.0], "c": [4.0, 4.0],
+        "e": [0.0, 0.0], "i": [0.0, 0.0]})
+    pi_path = _write(tmp_path, "pi.json", [0.5, 0.8])
+    out = tmp_path / "check.json"
+    code = main(["check-tax", "--economy", str(economy), "--pi", str(pi_path),
+                 "--out", str(out)])
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert report["sustainable"] is False and report["failed_stage"] == "solve"
+    assert "not sustainable (solve)" in capsys.readouterr().out
+
+
 def test_clear_raw_instance(tmp_path, capsys):
     doc = _write(tmp_path, "clear.json", CLEAR_DOC)
     out = tmp_path / "clear_report.json"

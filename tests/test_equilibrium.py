@@ -126,8 +126,15 @@ def test_verify_clearing_scale_invariance(e1):
 
 
 def test_verify_clearing_rejects_excess_demand(e1):
-    with pytest.raises(NotEquilibriumError):
+    with pytest.raises(NotEquilibriumError,
+                       match=r"at industries \[1\] \(worst: industry 1, demand 9 > supply 1\)"):
         verify_clearing(e1.A, e1.x, [0.5, 0.5], [0.9, 0.1])
+    # The worst row is the one demand overshoots most, not the first.
+    A = np.array([[0.2, 0.3, 0.1], [0.4, 0.1, 0.2], [0.1, 0.1, 0.1]])
+    with pytest.raises(NotEquilibriumError, match=(
+            r"at industries \[0, 1\] \(worst: industry 1, demand 0.963203 > supply 0.5\); "
+            "prices are not an equilibrium")):
+        verify_clearing(A, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.05, 0.05, 0.9])
 
 
 def test_verify_clearing_zero_cost_denominator():
