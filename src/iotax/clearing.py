@@ -333,7 +333,8 @@ def support_solution(A, b, support, tol_eq: float = DEFAULT_EQ_TOL) -> np.ndarra
     Solves sum_{j in support} a_ij z_j = b_i on the support rows and checks
     strict inequality on the rest; returns the full-length z (zeros off the
     support) or None.  This is the existence test for a candidate equality
-    set of a partial-clearing equilibrium.
+    set of a partial-clearing equilibrium.  On a singular restricted matrix
+    only its minimum-norm solution is tried; another one may be nonnegative.
     """
     A, b = _square_system(A, b)
     n = A.shape[0]
@@ -356,7 +357,7 @@ def _support(A, b, rows, tol_eq: float) -> np.ndarray | None:
     except SingularSystemError:
         return None
     if not within_gate or float(np.min(z_sub)) < -gate:
-        return None  # no solution, or the unique one is not nonnegative
+        return None  # no solution, or the one found is not nonnegative
     z = np.zeros(n)
     z[rows] = np.maximum(z_sub, 0.0)
     others = np.ones(n, dtype=bool)

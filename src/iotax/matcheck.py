@@ -9,7 +9,6 @@ A(E-A)^(-1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -30,16 +29,6 @@ ARNOLDI_FIRST_CHECK = 16
 # Residual gate for reproducing the target vector in cone_membership,
 # relative to the max-norm of the target.
 CONE_RESIDUAL_GATE = 1e-8
-# Least-squares subproblems nnls may solve per column before it gives up
-# (Lawson & Hanson's limit of 3n).
-NNLS_ITERATIONS_PER_COLUMN = 3
-# A column enters nnls's passive set only if its part outside the span of
-# the passive columns exceeds this share of its norm.  The book's test (about
-# 1e-14) let in a column independent by 5e-14 of its norm on a 9 x 11 float
-# matrix of rank 8 up to roundoff; its coefficient of order 1e14 left a
-# residual of 3.5 where the minimum is 0.45.
-_INDEPENDENT = 1e3 * np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 class ConeRegion(Enum):
@@ -52,7 +41,7 @@ class ConeRegion(Enum):
 class ConeMembership:
     """Location of a vector relative to the cone of columns of A(E-A)^(-1).
 
-    ``z`` solves A z = v (least-squares when A is singular) and
+    ``z`` solves A z = v (minimum-norm least squares when A is singular) and
     ``alpha = (E - A) z`` holds the combination weights; the vector lies in
     the cone's interior exactly when every weight is strictly positive.
     """
@@ -85,88 +74,22 @@ class MatrixProfile:
 
 class GatedSolution(NamedTuple):
     """Result of :func:`gated_solve`; ``within_gate`` tells whether ``z``
-    reproduces the right-hand side within the gate."""
+    reproduces the right-hand side within the gate.  When LU fails or misses
+    the gate, ``z`` is the minimum-norm least-squares solution, the only
+    other point tried."""
 
     z: np.ndarray
     within_gate: bool
-
-
-def nnls(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The z >= 0 that minimizes ||M z - rhs||.
-
-    Lawson & Hanson's active-set algorithm (*Solving Least Squares Problems*,
-    1974, ch. 23).  Each least-squares subproblem on the passive set (the
-    variables free of their bound) is refitted from scratch: one QR
-    factorization of the passive columns and a triangular solve.  A column
-    enters only if it is independent of the passive columns (by a test
-    stricter than the book's, see ``_INDEPENDENT``) and its own coefficient
-    is positive in the fit that follows.  On a rank-deficient n x n matrix
-    a call takes under 1 ms for n <= 20 and about 0.1 s at n = 400 (2-vCPU
-    x86-64 VM).  Raises ConvergenceError after NNLS_ITERATIONS_PER_COLUMN
-    subproblems per column of M.
-    """
-    A = np.asarray(M, dtype=float)
-    r = np.asarray(rhs, dtype=float)
-    m, n = A.shape
-    z = np.zeros(n)
-    passive: list[int] = []  # in the order the variables entered
-    cap = NNLS_ITERATIONS_PER_COLUMN * n
-    iterations = 0
-    while len(passive) < min(m, n):
-        w = A.T @ (r - A @ z)  # the dual vector
-        w[passive] = 0.0
-        while True:
-            q = int(np.argmax(w))
-            if w[q] <= 0.0:
-                return z
-            Q, R = np.linalg.qr(A[:, passive + [q]])
-            # |R[-1, -1]| is the norm of column q outside the passive columns'
-            # span; R is triangular, so the LU inside solve swaps no rows.
-            if abs(R[-1, -1]) > _INDEPENDENT * _norm(A[:, q]):
-                trial = np.linalg.solve(R, Q.T @ r)
-                if trial[-1] > 0.0:
-                    break
-            w[q] = 0.0
-        passive.append(q)
-
-        while True:
-            iterations += 1
-            if iterations > cap:
-                raise ConvergenceError(
-                    f"nonnegative least squares did not converge within {cap} iterations")
-            low = (trial <= 0.0).nonzero()[0]
-            if low.size == 0:
-                z[passive] = trial
-                break
-            # Step from z toward the trial point until the first variable
-            # reaches zero; it leaves, with any other roundoff left at or below.
-            x = z[passive]
-            ratios = x[low] / (x[low] - trial[low])
-            x += ratios.min() * (trial - x)
-            x[low[ratios.argmin()]] = 0.0
-            z[passive] = np.maximum(x, 0.0)
-            passive = [j for j, v in zip(passive, x.tolist()) if v > 0.0]
-            Q, R = np.linalg.qr(A[:, passive])
-            trial = np.linalg.solve(R, Q.T @ r)
-    return z
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm, rescaled where a square would overflow or underflow."""
-    square = float(v @ v)
-    if _TINY < square < np.inf:
-        return math.sqrt(square)
-    top = float(np.max(np.abs(v), initial=0.0))
-    return top * math.sqrt(float((v / top) @ (v / top))) if top > 0.0 else 0.0
 
 
 def gated_solve(M: np.ndarray, rhs: np.ndarray, gate: float) -> GatedSolution:
     """Solve M z = rhs under a gate on the residual max|M z - rhs|.
 
     Takes the LU solution when M is nonsingular and that solution passes the
-    gate (it may then have negative entries); otherwise the nonnegative
-    least-squares solution, flagged by whether it passes.  Raises
-    SingularSystemError when the nonnegative solve itself fails.
+    gate; otherwise the minimum-norm least-squares solution (Golub & Van
+    Loan, *Matrix Computations*, 5.5), flagged by whether it passes.  Either
+    may have negative entries.  Raises SingularSystemError when the
+    least-squares solve itself fails.
     """
     try:
         z = np.linalg.solve(M, rhs)
@@ -175,9 +98,9 @@ def gated_solve(M: np.ndarray, rhs: np.ndarray, gate: float) -> GatedSolution:
     except np.linalg.LinAlgError:
         pass
     try:
-        z = nnls(M, rhs)
-    except ConvergenceError as exc:
-        raise SingularSystemError(f"nonnegative least-squares solve failed: {exc}") from exc
+        z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"least-squares solve failed: {exc}") from exc
     return GatedSolution(z=z, within_gate=float(np.max(np.abs(M @ z - rhs))) <= gate)
 
 
@@ -310,7 +233,10 @@ def cone_membership(profile: MatrixProfile, v, tol: float = 1e-9) -> ConeMembers
     Solves A z = v by :func:`gated_solve` and classifies by the signs of
     alpha = (E - A) z: Interior when every weight exceeds ``tol``,
     Boundary when none falls below ``-tol`` but some sit inside the band,
-    Outside otherwise or when no nonnegative z reproduces v within the gate.
+    Outside otherwise or when no z reproduces v within the gate.  On a
+    singular A only the minimum-norm solution is tried, so the answer is
+    Boundary or Outside when that point has a weight at or below ``tol``,
+    even if another solution's weights are all positive.
     """
     if not profile.productive:
         raise NotProductiveError("cone membership requires a productive matrix")
@@ -323,8 +249,7 @@ def cone_membership(profile: MatrixProfile, v, tol: float = 1e-9) -> ConeMembers
     z = solved.z
     alpha = z - A @ z
     if not solved.within_gate:
-        # No nonnegative z reproduces v, so no nonnegative weight vector
-        # exists either (alpha >= 0 would force z = (E-A)^(-1) alpha >= 0).
+        # Not even the least-squares z reproduces v, so no weight vector does.
         return ConeMembership(region=ConeRegion.OUTSIDE, alpha=alpha, z=z)
     if np.all(alpha > tol):
         region = ConeRegion.INTERIOR

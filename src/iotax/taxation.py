@@ -145,8 +145,9 @@ class SustainabilityResult:
 
     On success, ``z`` is the recovered generating vector (with the scale
     constant absorbed) and ``p`` the equilibrium prices.  On failure,
-    ``failed_stage`` is "solve" (no nonnegative z reproduces (1-pi) o x)
-    or "markup" (z fails z > A z), with a human-readable ``reason``.
+    ``failed_stage`` is "solve" (the recovered z misses A z = (1-pi) o x by
+    more than the gate, or has negative components) or "markup" (z fails
+    z > A z), with a human-readable ``reason``.
     """
 
     sustainable: bool
@@ -261,9 +262,11 @@ def check_tax_sustainable(model: EconomyModel, tax,
     """Decide whether a tax system supports sustainable development.
 
     Attempts to recover a nonnegative z solving A z = (1 - pi) o x (the
-    scale constant absorbed into z).  Sustainability holds iff such a z
-    exists within the residual gate and satisfies z > A z; the equilibrium
-    prices are then solved and returned.
+    scale constant absorbed into z) by :func:`gated_solve`.  The tax system
+    is sustainable when that z passes the residual gate and satisfies
+    z > A z; the equilibrium prices are then solved and returned.  On a
+    singular A only the minimum-norm solution is tried, so a "no" does not
+    rule out another solution with z > A z.
     """
     rates = _as_float_vector(tax, "tax rates", model.n, held="pi")
     if np.any(rates <= 0) or np.any(rates >= 1):
@@ -279,7 +282,7 @@ def check_tax_sustainable(model: EconomyModel, tax,
     if float(np.min(z)) < -gate:
         return SustainabilityResult(
             sustainable=False, failed_stage="solve",
-            reason="the unique z solving A z = (1 - pi) o x has negative components",
+            reason="the z found solving A z = (1 - pi) o x has negative components",
         )
     z = np.maximum(z, 0.0)
     bad = np.flatnonzero(~(z > model.A @ z))

@@ -76,8 +76,9 @@ def test_check_tax_accepts(tmp_path, e1_path):
 
 
 def test_check_tax_outside_the_range_of_a_singular_matrix(tmp_path, capsys):
-    # A is singular, so the LU solve fails and the nonnegative least-squares
-    # fallback answers: (1 - pi) o x = [5, 2] is not a multiple of [1, 1].
+    # A is singular, so the LU solve fails and the minimum-norm least-squares
+    # fallback misses the gate: (1 - pi) o x = [5, 2] is not a multiple of
+    # [1, 1], the range of A.
     economy = _write(tmp_path, "singular.json", {
         "A": [[0.3, 0.3], [0.3, 0.3]], "x": [10.0, 10.0], "c": [4.0, 4.0],
         "e": [0.0, 0.0], "i": [0.0, 0.0]})
@@ -89,6 +90,20 @@ def test_check_tax_outside_the_range_of_a_singular_matrix(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["sustainable"] is False and report["failed_stage"] == "solve"
     assert "not sustainable (solve)" in capsys.readouterr().out
+
+
+def test_check_tax_on_a_singular_matrix(tmp_path):
+    # (1 - pi) o x = [1, 1] lies in the range of A; the minimum-norm solution
+    # z = [5/3, 5/3] satisfies z > A z.
+    economy = _write(tmp_path, "singular.json", {
+        "A": [[0.3, 0.3], [0.3, 0.3]], "x": [10.0, 10.0], "c": [4.0, 4.0],
+        "e": [0.0, 0.0], "i": [0.0, 0.0]})
+    pi_path = _write(tmp_path, "pi.json", [0.9, 0.9])
+    out = tmp_path / "check.json"
+    code = main(["check-tax", "--economy", str(economy), "--pi", str(pi_path),
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["sustainable"] is True
 
 
 def test_clear_raw_instance(tmp_path, capsys):

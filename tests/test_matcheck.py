@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
@@ -11,7 +11,7 @@ from conftest import random_irreducible_productive
 from iotax import ConeRegion, analyze_matrix, cone_membership
 from iotax import matcheck
 from iotax.errors import ConvergenceError, DomainError, NotProductiveError, SingularSystemError
-from iotax.matcheck import ARNOLDI_FIRST_CHECK, gated_solve, nnls, spectral_radius
+from iotax.matcheck import ARNOLDI_FIRST_CHECK, gated_solve, spectral_radius
 
 
 def test_analyze_anti_diagonal():
@@ -286,6 +286,16 @@ def test_cone_singular_matrix_unreachable_target():
     assert result.region is ConeRegion.OUTSIDE
 
 
+def test_cone_singular_matrix_interior_target():
+    # A z = [1.5, 1.5] has the solutions z1 + z2 = 5; the minimum-norm one,
+    # z = [2.5, 2.5], has the weights alpha = z - A z = [1, 1].
+    profile = analyze_matrix(0.3 * np.ones((2, 2)))
+    result = cone_membership(profile, [1.5, 1.5])
+    assert result.region is ConeRegion.INTERIOR
+    assert np.allclose(result.z, [2.5, 2.5], atol=1e-12)
+    assert np.allclose(result.alpha, [1.0, 1.0], atol=1e-12)
+
+
 def test_cone_roundtrip_and_markup_equivalence():
     # v = A (E-A)^(-1) alpha with alpha > 0 must come back Interior, and the
     # Interior verdict must coincide with z > A z componentwise.
@@ -308,96 +318,78 @@ _ENTRIES = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
 
 @st.composite
 def nnls_problems(draw):
-    """Square, tall and wide systems with m, n <= 12; some with a repeated
-    column, a zero column, or integer factors of lower rank."""
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    M = draw(arrays(float, (m, n), elements=_ENTRIES))
-    kind = draw(st.sampled_from(["plain", "repeat", "zero", "low-rank"]))
-    if kind == "repeat" and n > 1:
+    """Exactly singular square systems with n <= 12: a repeated column, a
+    zero column, or integer factors of lower rank."""
+    n = draw(st.integers(1, 12))
+    M = draw(arrays(float, (n, n), elements=_ENTRIES))
+    kind = draw(st.sampled_from(["repeat", "zero", "low-rank"] if n > 1 else ["zero"]))
+    if kind == "repeat":
         M[:, n - 1] = M[:, draw(st.integers(0, n - 2))]
     elif kind == "zero":
         M[:, draw(st.integers(0, n - 1))] = 0.0
-    elif kind == "low-rank":
-        rank = draw(st.integers(1, min(m, n)))
+    else:
+        rank = draw(st.integers(1, n - 1))
         factors = st.integers(-3, 3).map(float)
-        M = draw(arrays(float, (m, rank), elements=factors)) @ draw(
+        M = draw(arrays(float, (n, rank), elements=factors)) @ draw(
             arrays(float, (rank, n), elements=factors))
-    return M, draw(arrays(float, m, elements=_ENTRIES))
+    return M, draw(arrays(float, n, elements=_ENTRIES))
 
 
 @settings(max_examples=200, deadline=None)
 @given(nnls_problems())
-# An entry test on the sign of the candidate's part outside the passive
-# columns against rhs, computed apart from the fit that follows, disagrees
-# with that fit by roundoff here, and the candidate enters and leaves until
-# the iteration cap.
-@example((np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0])))
-def test_nnls_matches_scipy(problem):
+def test_gated_solve_on_a_singular_matrix(problem):
+    # The fallback is the minimum-norm least-squares solution: no worse a fit
+    # than the best nonnegative one, flagged by the gate, and with no part in
+    # the null space of M.  Where roundoff leaves LU a tiny pivot, its
+    # solution may pass the gate instead, and then it is some other solution.
     M, rhs = problem
+    scale = max(1.0, float(np.linalg.norm(rhs)))
+    gate = 1e-11 * scale
+    z, within_gate = gated_solve(M, rhs, gate)
+    assert within_gate == (float(np.max(np.abs(M @ z - rhs))) <= gate)
     try:
-        reference, reference_norm = scipy_nnls(M, rhs)
+        _, reference_norm = scipy_nnls(M, rhs)
     except RuntimeError:  # SciPy's own iteration cap
-        return
-    z = nnls(M, rhs)
-    assert z.shape == (M.shape[1],) and np.all(z >= 0.0)
-    assert abs(np.linalg.norm(M @ z - rhs) - reference_norm) <= 1e-10 * max(
-        1.0, float(np.linalg.norm(rhs)))
-
-
-def _nnls_kkt(M, rhs, z) -> float:
-    """Scaled KKT residual of min ||M z - rhs|| over z >= 0: the gradient
-    M^T (rhs - M z) is nowhere positive and zero where z > 0."""
-    g = M.T @ (rhs - M @ z)
-    violation = max(float(np.max(g, initial=0.0)), float(np.max(np.abs(g[z > 0]), initial=0.0)))
-    return violation / (np.linalg.norm(M, 2) * max(1.0, float(np.linalg.norm(rhs)),
-                                                   float(np.linalg.norm(M @ z))))
-
-
-def test_nnls_on_nearly_rank_deficient_data():
-    # Products of random float factors are of lower rank only up to
-    # roundoff.  The book's independence test admits a column independent by
-    # 5e-14 of its norm now and then; its coefficient of order 1e14 then
-    # spoils the residual, and the answer is no KKT point.  nnls's stricter
-    # test keeps every answer a KKT point, no worse than SciPy's wherever
-    # SciPy's is one.
-    rng = np.random.default_rng(5)
-    for _ in range(1500):
-        m, n = (int(v) for v in rng.integers(2, 13, size=2))
-        rank = int(rng.integers(1, min(m, n) + 1))
-        M = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-        rhs = rng.normal(size=m)
-        z = nnls(M, rhs)
-        assert np.all(z >= 0.0) and _nnls_kkt(M, rhs, z) <= 1e-12
-        try:
-            reference, reference_norm = scipy_nnls(M, rhs)
-        except RuntimeError:
-            continue
-        if _nnls_kkt(M, rhs, reference) <= 1e-12:
-            assert np.linalg.norm(M @ z - rhs) <= reference_norm + 1e-10 * max(
-                1.0, float(np.linalg.norm(rhs)))
-
-
-@pytest.mark.parametrize("n", [100, 400])
-def test_nnls_rank_deficient_large(n):
-    rng = np.random.default_rng(n)
-    M = rng.uniform(0.0, 1.0, size=(n, n))
-    M[:, -1] = M[:, 0]
-    rhs = rng.uniform(0.5, 1.5, size=n)
-    _, reference_norm = scipy_nnls(M, rhs)
-    z = nnls(M, rhs)
-    assert np.all(z >= 0.0)
-    assert abs(np.linalg.norm(M @ z - rhs) - reference_norm) <= 1e-10 * reference_norm
+        reference_norm = np.inf
+    assert np.linalg.norm(M @ z - rhs) <= reference_norm + 1e-10 * scale
+    try:
+        lu = np.linalg.solve(M, rhs)
+        fallback = not float(np.max(np.abs(M @ lu - rhs))) <= gate
+    except np.linalg.LinAlgError:
+        fallback = True
+    if fallback:
+        _, sigma, Vt = np.linalg.svd(M)
+        null = Vt[sigma <= 1e-10 * max(float(sigma[0]), np.finfo(float).tiny)]
+        assert np.linalg.norm(null @ z) <= 1e-9 * max(1.0, float(np.linalg.norm(z)))
 
 
 def test_gated_solve_falls_back_to_nnls():
+    # The fallback is the minimum-norm least-squares solution [1, 1] for both
+    # right-hand sides; only the second is reproduced.
     M = np.array([[1.0, 1.0], [1.0, 1.0]])
     solved = gated_solve(M, np.array([1.0, 3.0]), 1e-9)
-    assert not solved.within_gate and np.allclose(solved.z.sum(), 2.0)
+    assert not solved.within_gate and np.allclose(solved.z, [1.0, 1.0])
     solved = gated_solve(M, np.array([2.0, 2.0]), 1e-9)
-    assert solved.within_gate and np.all(solved.z >= 0.0)
+    assert solved.within_gate and np.allclose(solved.z, [1.0, 1.0])
 
 
-def test_nnls_iteration_cap_is_a_singular_system(monkeypatch):
-    monkeypatch.setattr(matcheck, "NNLS_ITERATIONS_PER_COLUMN", 0)
-    with pytest.raises(SingularSystemError, match="did not converge within 0 iterations"):
+def test_gated_solve_on_a_system_where_nnls_cycled():
+    # Rows 3 and 4 are equal, so the LU solve fails.  z = [0, 1, 1, 0, 0]
+    # solves the system exactly; a Lawson & Hanson active-set NNLS entered
+    # and dropped the same columns here until its 3n iteration cap.
+    M = np.array([[1.0, 0.0, 2.0, 1.0, 1.0], [1.0, 0.0, 1.0, 2.0, 0.0],
+                  [2.0, 2.0, 0.0, 2.0, 0.0], [2.0, 2.0, 0.0, 2.0, 0.0],
+                  [2.0, 1.0, 1.0, 2.0, 2.0]])
+    rhs = np.array([2.0, 1.0, 2.0, 2.0, 2.0])
+    solved = gated_solve(M, rhs, 1e-9)
+    assert solved.within_gate
+    assert np.max(np.abs(M @ solved.z - rhs)) <= 1e-12
+
+
+def test_least_squares_failure_is_a_singular_system(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    with pytest.raises(SingularSystemError, match="least-squares solve failed: SVD did not converge"):
         gated_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]), 1e-9)

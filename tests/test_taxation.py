@@ -88,6 +88,25 @@ def test_check_tax_scalar_economy():
     assert np.allclose(result.z, [2.0], atol=1e-12)
 
 
+def test_check_tax_singular_matrix():
+    # A is singular, so LU fails and the minimum-norm solution of
+    # A z = (1 - pi) o x = [1, 1] is taken: z = [5/3, 5/3], with z > A z.
+    model = load_economy({"A": [[0.3, 0.3], [0.3, 0.3]], "x": [10.0, 10.0],
+                          "c": [4.0, 4.0], "e": [0.0, 0.0], "i": [0.0, 0.0]})
+    result = check_tax_sustainable(model, [0.9, 0.9])
+    assert result.sustainable
+    assert np.allclose(result.z, [5.0 / 3.0, 5.0 / 3.0], atol=1e-12)
+
+
+def test_check_tax_negative_solution():
+    # A z = (1 - pi) o x = [1, 0.1] has the one solution z = [-0.7, 3.8].
+    model = load_economy({"A": [[0.2, 0.3], [0.4, 0.1]], "x": [10.0, 10.0],
+                          "c": [5.0, 5.0], "e": [0.0, 0.0], "i": [0.0, 0.0]})
+    result = check_tax_sustainable(model, [0.9, 0.99])
+    assert not result.sustainable and result.failed_stage == "solve"
+    assert result.reason == "the z found solving A z = (1 - pi) o x has negative components"
+
+
 def test_perfect_tax_e1(e1):
     tax = perfect_tax(e1, scale_b=1.0)
     assert np.allclose(tax.pi, [0.5, 0.5], atol=1e-15)
