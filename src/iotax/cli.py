@@ -185,8 +185,7 @@ def _run_scenario(config: ScenarioConfig) -> tuple[int, dict, list[str], bool]:
         return EXIT_REJECTED, {"error": str(exc)}, [f"rejected: {exc}"], True
     if config.out_path is not None:
         try:
-            _write_in_place(config.out_path,
-                            (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+            _write_in_place(config.out_path, (_dumps(report) + "\n").encode("utf-8"))
         except OSError as exc:
             return EXIT_INPUT, {"error": str(exc)}, [f"error: {exc}"], True
     return code, report, lines, False
@@ -208,6 +207,85 @@ def _write_in_place(path: Path, data: bytes) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _encoder(newline: str) -> json.JSONEncoder:
+    """The encoder that puts each item of a container on its own line,
+    ``newline`` being the line break and indent before an item.  Without
+    ``indent`` ``json`` encodes with its C encoder."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + newline, ": "))
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a tree whose dict
+    keys are strings: the same text, with most of it made by the C encoder,
+    which ``json`` uses only when ``indent`` is None.
+
+    A container whose items are all scalars is one C call whose item
+    separator ends in the items' indent, plus its opener and closer lines.
+    So is a list of such containers, all dicts or all lists (``report``'s
+    ``table``, ``clear``'s ``rows``): the C text is split where one item
+    closes and the next opens, which only the separator between them can
+    match, because no encoded string holds a raw newline.  Only the rest
+    recurses.
+    """
+    out: list[str] = []
+    _dump(obj, "\n", out)
+    return "".join(out)
+
+
+def _brackets(obj) -> str:
+    """"{}" for a nonempty dict of scalars, "[]" for a nonempty list or
+    tuple of scalars, "" for anything else."""
+    if type(obj) is dict:
+        items, brackets = obj.values(), "{}"
+    elif type(obj) is list or type(obj) is tuple:
+        items, brackets = obj, "[]"
+    else:
+        return ""
+    return brackets if items and {*map(type, items)} <= _SCALARS else ""
+
+
+def _dump(obj, newline: str, out: list[str]) -> None:
+    """Append the text of ``obj``, whose first line is already indented and
+    whose later lines start with ``newline``, to ``out``."""
+    inner = newline + "  "
+    flat = _brackets(obj)
+    if flat:
+        text = _encoder(inner).encode(obj)
+        out += flat[0], inner, text[1:-1], newline, flat[1]
+        return
+    if isinstance(obj, dict):
+        brackets = "{}"
+        entries = [(json.encoder.encode_basestring_ascii(key) + ": ", value)
+                   for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        rows = {*map(_brackets, obj)}
+        if len(rows) == 1 and "" not in rows:
+            opener, closer = rows.pop()
+            deep = inner + "  "
+            text = _encoder(deep).encode(obj)[2:-2]
+            out += ("[", inner, opener, deep,
+                    text.replace(closer + "," + deep + opener,
+                                 inner + closer + "," + inner + opener + deep),
+                    inner, closer, newline, "]")
+            return
+        brackets = "[]"
+        entries = [("", item) for item in obj]
+    else:
+        out.append(_encoder(newline).encode(obj))
+        return
+    out.append(brackets[0])
+    separator = inner
+    for prefix, value in entries:
+        out += separator, prefix
+        _dump(value, inner, out)
+        separator = "," + inner
+    out.append(newline + brackets[1] if entries else brackets[1])
 
 
 def run_batch(args) -> int:
@@ -366,27 +444,33 @@ def _cmd_validate(config: ScenarioConfig):
 
 
 def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVector):
-    """Report and table of a tax system, with the equilibrium prices for its z."""
+    """Report and table of a tax system, with the equilibrium prices for its z.
+
+    The report's vectors are rounded to 12 significant digits once, and its
+    ``table`` rows take their rates, prices and value accounts from those
+    rounded vectors; only each row's gap and subsidy are rounded there.
+    The printed table formats the unrounded rows of
+    :func:`taxation.industry_table` to 12 digits, which reads the same.
+    """
     price = solve_price_balance(model.A, system.z, config.solver)
     accounts = tax.value_accounts(model, price)
     scale = max(1.0, float(np.max(np.abs(accounts.X))))
     classification = tax.classify_industries(accounts, tol=1e-9 * scale)
     rows = tax.industry_table(model, system, price, accounts, classification)
+    columns = {"pi": _vec(system.pi), "p": _vec(price.p), "delta": _vec(accounts.delta),
+               "Delta": _vec(accounts.Delta), "final_product": _vec(accounts.final_product)}
     report = {
         "command": config.command,
-        "pi": _vec(system.pi),
         "scale_b": _round12(system.scale_b),
         "provenance": system.provenance.value,
-        "p": _vec(price.p),
         "lambda_residual": _round12(price.lambda_residual),
-        "delta": _vec(accounts.delta),
-        "Delta": _vec(accounts.Delta),
-        "final_product": _vec(accounts.final_product),
+        **columns,
         "classification_I": _indices(classification.I_set),
         "classification_J": _indices(classification.J_set),
         "signature": list(classification.signature),
-        "table": [dict(row, **{k: _round12(v) for k, v in row.items()
-                               if isinstance(v, float)}) for row in rows],
+        "table": [dict(row, pi=pi, price=p, delta=delta, Delta=Delta, final_product=final,
+                       gap=_round12(row["gap"]), subsidy=_round12(row["subsidy"]))
+                  for row, pi, p, delta, Delta, final in zip(rows, *columns.values())],
     }
     lines = [f"tax system ({system.provenance.value}), scale_b = {system.scale_b:.12g}"]
     lines += _table_lines(rows)

@@ -111,8 +111,8 @@ def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
     visited[start] = True
     frontier = visited.copy()
     while frontier.any():
-        reached = adjacency[frontier].any(axis=0)
-        frontier = reached & ~visited
+        # reached > visited: reached now, not visited before
+        frontier = adjacency[frontier].any(axis=0) > visited
         visited |= frontier
     return visited
 

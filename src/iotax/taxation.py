@@ -417,7 +417,8 @@ def industry_table(model: EconomyModel, tax: TaxVector, p,
                    tol: float = 1e-9) -> list[dict]:
     """Per-industry report rows: rates, prices, value added, gaps, class, subsidy.
 
-    Industries are numbered from 1 in reports.
+    Industries are numbered from 1 in reports.  The values are the floats
+    of the arrays they come from, unrounded; a report rounds them.
     """
     prices = _as_float_vector(p, "prices", model.n, held="p")
     if accounts is None:
@@ -426,18 +427,12 @@ def industry_table(model: EconomyModel, tax: TaxVector, p,
         scale = max(1.0, float(np.max(np.abs(accounts.X))))
         classification = classify_industries(accounts, tol=tol * scale)
     amounts = dict(subsidies or [])
-    rows = []
-    for k in range(model.n):
-        rows.append({
-            "industry": k + 1,
-            "pi": float(tax.pi[k]),
-            "price": float(prices[k]),
-            "delta": float(accounts.delta[k]),
-            "Delta": float(accounts.Delta[k]),
-            "final_product": float(accounts.final_product[k]),
-            "gap": float(classification.gaps[k]),
-            "class": "I" if k in classification.I_set else "J",
-            "subsidy": float(amounts.get(k, 0.0)),
-        })
-    return rows
+    columns = zip(tax.pi.tolist(), prices.tolist(), accounts.delta.tolist(),
+                  accounts.Delta.tolist(), accounts.final_product.tolist(),
+                  classification.gaps.tolist(), strict=True)
+    return [{"industry": k + 1, "pi": pi, "price": price, "delta": delta, "Delta": Delta,
+             "final_product": final, "gap": gap,
+             "class": "I" if k in classification.I_set else "J",
+             "subsidy": float(amounts.get(k, 0.0))}
+            for k, (pi, price, delta, Delta, final, gap) in enumerate(columns)]
 

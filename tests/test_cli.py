@@ -490,6 +490,78 @@ def test_rounded_vectors_keep_twelve_significant_digits(values):
     assert cli._vec(np.array(values)) == [float(f"{v:.12g}") for v in values]
 
 
+# Strings that an encoder splitting at item seams could mistake for one.
+_TRICKY_TEXT = st.lists(st.sampled_from(['"', "\\", "\n", "é", "中", "\U0001f600", "},", "],", "{", "[",
+                                         ",\n    {", ": "]) | st.text(max_size=3),
+                        max_size=4).map("".join)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200),
+                    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]),
+                    _TRICKY_TEXT)
+_KEY = _TRICKY_TEXT | st.sampled_from(["pi", "p", "gap", "class"])
+_FLAT = st.lists(_SCALAR, max_size=4) | st.dictionaries(_KEY, _SCALAR, max_size=4)
+_TREE = st.recursive(
+    _SCALAR | _FLAT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEY, children, max_size=5)
+    | st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)  # like report's table
+    | st.lists(st.lists(_SCALAR, max_size=3), max_size=4)  # like subsidies
+    | st.lists(_FLAT, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TREE)
+def test_writer_is_json_dumps_indented_with_sorted_keys(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_out_is_the_indented_sorted_json_of_the_report(tmp_path, e1_path, capsys):
+    commands, clears = _every_command(tmp_path, e1_path)
+    sustainable = ["tax-sustainable", "--economy", str(tmp_path / "economy.json"),
+                   "--z", str(tmp_path / "z.json")]
+    argvs = [*commands, sustainable, *clears]
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for k, argv in enumerate(argvs):
+        out = tmp_path / f"out{k}.json"
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+        code, report = cli.run(cli._config_from_args(args, args.economy))
+        assert code == 0, argv
+        assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # Each file of a batch directory, a rejected scenario's included, is the
+    # report that run() returns for its scenario alone.
+    scenarios = _mixed_batch(tmp_path)
+    out_dir = tmp_path / "batch"
+    assert main(["report", "--batch", str(scenarios), "--out", str(out_dir)]) == 2
+    written = sorted(out_dir.iterdir())
+    assert [path.name for path in written] == ["a_e1.report.json", "b_unbalanced.report.json",
+                                               "d_subsidy.report.json"]
+    for path in written:
+        stem = path.name.removesuffix(".report.json")
+        _, report = cli.run(cli.ScenarioConfig(scenarios / f"{stem}.json"))
+        assert path.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    capsys.readouterr()
+
+
+def test_report_table_rows_are_the_rounded_vectors(tmp_path, e1_path, capsys):
+    commands, _ = _every_command(tmp_path, e1_path)
+    economy, z = str(tmp_path / "economy.json"), str(tmp_path / "z.json")
+    argvs = [commands[0], ["tax-perfect", "--economy", economy],
+             ["tax-sustainable", "--economy", economy, "--z", z],
+             ["report", "--economy", str(_write(tmp_path, "subsidy.json", SUBSIDY_DOC))]]
+    columns = {"pi": "pi", "price": "p", "delta": "delta", "Delta": "Delta",
+               "final_product": "final_product"}
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        code, report = cli.run(cli._config_from_args(args, args.economy))
+        assert code == 0, argv
+        assert len(report["table"]) == len(report["p"])
+        for k, row in enumerate(report["table"]):
+            assert row["industry"] == k + 1
+            for column, vector in columns.items():
+                assert row[column] == report[vector][k], (argv[0], k, column)
+            assert row["gap"] == float(f"{row['gap']:.12g}")
+    capsys.readouterr()
+
+
 def test_batch_mode(tmp_path, capsys):
     scenarios = tmp_path / "scenarios"
     scenarios.mkdir()

@@ -36,6 +36,45 @@ def test_analyze_unproductive_diagonal():
     assert profile.leontief_inverse is None
 
 
+@st.composite
+def digraphs(draw):
+    """Edge matrices: arbitrary, a long cycle (maybe cut into a path), or
+    cycles joined only from earlier to later blocks, states permuted."""
+    kind = draw(st.sampled_from(["random", "cycle", "block-triangular"]))
+    n = draw(st.integers(1, 60 if kind == "cycle" else 20))
+    if kind == "random":
+        return draw(arrays(np.bool_, (n, n)))
+    order = np.array(draw(st.permutations(range(n))), dtype=int)
+    edges = np.zeros((n, n), dtype=bool)
+    if kind == "cycle":
+        edges[order, np.roll(order, -1)] = True
+        edges[order[-1], order[0]] = draw(st.booleans())
+        return edges
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    block = np.empty(n, dtype=int)
+    for k, states in enumerate(np.split(order, cuts)):
+        edges[states, np.roll(states, -1)] = True
+        block[states] = k
+    edges |= draw(arrays(np.bool_, (n, n))) & (block[:, np.newaxis] < block[np.newaxis, :])
+    return edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_irreducibility_and_strong_components_match_scipy(edges):
+    from scipy.sparse import csgraph
+
+    from iotax.equilibrium import connected_components
+
+    expected_count, expected = csgraph.connected_components(edges, directed=True,
+                                                            connection="strong")
+    assert matcheck.is_irreducible(np.where(edges, 0.5, 0.0)) == (expected_count == 1)
+    count, labels = connected_components(edges)
+    assert count == expected_count
+    assert {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)} == \
+        {frozenset(np.flatnonzero(expected == c).tolist()) for c in range(expected_count)}
+
+
 def test_periodic_matrix_radius():
     # Eigenvalues +1 and -1 share the modulus; the radius is the rightmost one.
     profile = analyze_matrix([[0.0, 2.0], [0.5, 0.0]])
