@@ -14,7 +14,9 @@ from . import errors
 from .clearing import (
     ClearingConfig,
     ClearingEquilibrium,
+    ClearingMethod,
     ClearingProblem,
+    ClearingResult,
     SolutionFamily,
     alpha_from_solution,
     equilibrium_from_solution,
@@ -22,6 +24,7 @@ from .clearing import (
     ray_bounds,
     scale_function,
     solution_from_alpha,
+    solve_clearing,
     support_solution,
     verify_partial_clearing,
 )
@@ -89,6 +92,6 @@ __all__ = [
     "ClearingProblem", "SolutionFamily", "ClearingConfig", "ClearingEquilibrium",
     "ray_bounds", "scale_function", "solution_from_alpha", "alpha_from_solution",
     "min_excess_solution", "support_solution", "equilibrium_from_solution",
-    "verify_partial_clearing",
+    "verify_partial_clearing", "solve_clearing", "ClearingResult", "ClearingMethod",
     "__version__",
 ]

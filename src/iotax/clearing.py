@@ -18,6 +18,7 @@ the value share of unsold output under those generalized prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -171,6 +172,26 @@ class ClearingCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class ClearingMethod(Enum):
+    GIVEN = "given"                  # the caller's z
+    MIN_EXCESS = "min_excess"        # the minimal-excess z
+    SUPPORT_RETRY = "support_retry"  # support_solution on the minimal-excess z's equality rows
+
+
+@dataclass(frozen=True)
+class ClearingResult:
+    """An equilibrium of :func:`solve_clearing`, its row check and how its z
+    was found; the last four fields are the minimal-excess QP's, or None."""
+
+    equilibrium: ClearingEquilibrium
+    check: ClearingCheck
+    method: ClearingMethod
+    objective: float | None = None
+    full_clearing: bool | None = None
+    kkt_residual: float | None = None
+    qp_iterations: int | None = None
 
 
 def ray_bounds(problem: ClearingProblem) -> np.ndarray:
@@ -375,11 +396,43 @@ def equilibrium_from_solution(A, b, z, cfg: ClearingConfig | None = None) -> Cle
     demand system against the original b, and assembles generalized prices
     and the excess supply level.
     """
+    return solve_clearing(A, b, z, cfg).equilibrium
+
+
+def solve_clearing(A, b, z=None, cfg: ClearingConfig | None = None) -> ClearingResult:
+    """The equilibrium with partial clearing of A z <= b, for a square A:
+    the one z induces if given; else the one the minimal-excess z induces if
+    it verifies; else, as that z may weight columns of rows that do not
+    clear, the one :func:`support_solution` on its equality rows induces.
+    Raises NoEquilibriumError if the last candidate tried does not verify."""
     if cfg is None:
         cfg = ClearingConfig()
-    A, b = _square_system(A, b)
-    z = _nonnegative_z(z, A.shape[0], cfg.tol_eq)
-    return _equilibrium(A, b, z, _clearing_rows(A, b, z, cfg.tol_eq), None, cfg)[0]
+    if z is not None:
+        A, b = _square_system(A, b)
+        z = _nonnegative_z(z, A.shape[0], cfg.tol_eq)
+        return ClearingResult(*_verified(A, b, z, cfg), ClearingMethod.GIVEN)
+    problem = ClearingProblem(C=A, b=b)
+    A, b = problem.C, problem.b
+    if A.shape[0] != A.shape[1]:
+        raise DimensionError(f"A must be square, got shape {A.shape}")
+    z, *qp = _min_excess(A, b, cfg)  # qp: the objective, full clearing, KKT, steps
+    rows = _clearing_rows(A, b, z, cfg.tol_eq)
+    try:
+        return ClearingResult(*_verified(A, b, z, cfg, rows), ClearingMethod.MIN_EXCESS, *qp)
+    except NoEquilibriumError:
+        z = _support(A, b, np.flatnonzero(rows[1]), cfg.tol_eq)
+        if z is None:
+            raise
+    return ClearingResult(*_verified(A, b, z, cfg), ClearingMethod.SUPPORT_RETRY, *qp)
+
+
+def _verified(A, b, z, cfg: ClearingConfig, rows=None) -> tuple[ClearingEquilibrium, ClearingCheck]:
+    """The equilibrium z induces and its check, from the one demand evaluation
+    that verified it; ``rows``, if given, are z's :func:`_clearing_rows`."""
+    rows = _clearing_rows(A, b, z, cfg.tol_eq) if rows is None else rows
+    equilibrium, evaluation = _equilibrium(A, b, z, rows, None, cfg)
+    return equilibrium, _clearing_check(b, equilibrium.p.p, rows[1], ~rows[1], evaluation,
+                                        cfg.verify_tol)
 
 
 def _nonnegative_z(z, n: int, tol_eq: float) -> np.ndarray:
@@ -420,7 +473,12 @@ def _equilibrium(A, b, z, rows: tuple[np.ndarray, np.ndarray], price: PriceVecto
         try:
             restricted = _solve_price_balance(A[np.ix_(I, I)], z[I], cfg.solver)
         except (DegenerateInputError, DomainError, ConvergenceError) as exc:
-            raise NoEquilibriumError(f"restricted price solve failed: {exc}") from exc
+            w = A[np.ix_(I, I)] @ z[I]
+            k = int(np.argmin(w))
+            reason = exc if w[k] > 0 else (
+                f"(A_II z_I) at industry {I[k]} is {w[k]}, where I holds the rows that "
+                "clear; the cost denominator must be strictly positive")
+            raise NoEquilibriumError(f"restricted price solve failed: {reason}") from exc
         p = np.zeros(n)
         p[I] = restricted.p
         price = replace(restricted, p=p)

@@ -30,7 +30,7 @@ import numpy as np
 from . import clearing as clr
 from . import taxation as tax
 from .equilibrium import SolverConfig, solve_price_balance
-from .errors import AnalysisError, InputError, NoEquilibriumError, ParseError
+from .errors import AnalysisError, InputError, ParseError
 from .matcheck import MatrixProfile, analyze_matrix
 from .model import (
     DEFAULT_BALANCE_TOL,
@@ -443,8 +443,10 @@ def _cmd_validate(config: ScenarioConfig):
     return EXIT_OK, report, lines
 
 
-def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVector):
-    """Report and table of a tax system, with the equilibrium prices for its z.
+def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVector,
+                subsidize: bool = False):
+    """Report and table of a tax system, with the equilibrium prices for its
+    z and, if ``subsidize``, the minimum subsidies for z in both.
 
     The report's vectors are rounded to 12 significant digits once, and its
     ``table`` rows take their rates, prices and value accounts from those
@@ -456,7 +458,8 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     accounts = tax.value_accounts(model, price)
     scale = max(1.0, float(np.max(np.abs(accounts.X))))
     classification = tax.classify_industries(accounts, tol=1e-9 * scale)
-    rows = tax.industry_table(model, system, price, accounts, classification)
+    subsidies = tax.subsidy_requirements(model, system.z, price) if subsidize else None
+    rows = tax.industry_table(model, system, price, accounts, classification, subsidies)
     columns = {"pi": _vec(system.pi), "p": _vec(price.p), "delta": _vec(accounts.delta),
                "Delta": _vec(accounts.Delta), "final_product": _vec(accounts.final_product)}
     report = {
@@ -474,7 +477,17 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     }
     lines = [f"tax system ({system.provenance.value}), scale_b = {system.scale_b:.12g}"]
     lines += _table_lines(rows)
+    if subsidies is not None:
+        report["subsidies"], subsidy_lines = _subsidy_report(subsidies)
+        lines += subsidy_lines
     return report, lines, price
+
+
+def _subsidy_report(subsidies: list[tuple[int, float]]) -> tuple[list, list[str]]:
+    """The report entry and lines of subsidy_requirements' amounts."""
+    lines = ["minimum subsidies:"]
+    lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
+    return [[k + 1, _round12(v)] for k, v in subsidies], lines
 
 
 def _cmd_tax_perfect(config: ScenarioConfig):
@@ -555,13 +568,8 @@ def _cmd_subsidies(config: ScenarioConfig):
     z = load_vector(config.z_path) if config.z_path is not None else model.x.copy()
     price = solve_price_balance(model.A, z, config.solver)
     subsidies = tax.subsidy_requirements(model, z, price)
-    report = {
-        "command": "subsidies",
-        "p": _vec(price.p),
-        "subsidies": [[k + 1, _round12(v)] for k, v in subsidies],
-    }
-    lines = ["minimum subsidies:"]
-    lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
+    entry, lines = _subsidy_report(subsidies)
+    report = {"command": "subsidies", "p": _vec(price.p), "subsidies": entry}
     return EXIT_OK, report, lines
 
 
@@ -578,42 +586,20 @@ def _load_clearing(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_clear(config: ScenarioConfig):
-    """Validates the system once: a ClearingProblem for the minimal-excess
-    path, b alone for a given --z (whose A may have a zero row or column);
-    the clearing cores then take the arrays as they are.  Output is that of
-    min_excess_solution, equilibrium_from_solution, support_solution and
-    verify_partial_clearing called in turn."""
+    """The report of :func:`clearing.solve_clearing` on the document's A and
+    b and --z if given, with the minimal-excess objective without --z."""
     A, b = _load_clearing(config)
+    z = load_vector(config.z_path) if config.z_path is not None else None
     cfg = clr.ClearingConfig(solver=config.solver, verify_tol=config.tol)
+    result = clr.solve_clearing(A, b, z, cfg)
+    equilibrium, check = result.equilibrium, result.check
     report: dict = {"command": "clear"}
     lines: list[str] = []
-    if config.z_path is not None:
-        z = load_vector(config.z_path)
-        b = clr._positive_b(b, A.shape[0])
-        z = clr._nonnegative_z(z, A.shape[0], cfg.tol_eq)
-    else:
-        problem = clr.ClearingProblem(C=A, b=b)
-        A, b = problem.C, problem.b
-        z, objective, full_clearing, _, _ = clr._min_excess(A, b, cfg)
-        report["objective"] = _round12(objective)
-        report["full_clearing"] = full_clearing
-        lines.append(f"minimal excess objective: {objective:.12g}"
-                     + ("  (full clearing)" if full_clearing else ""))
-    rows = clr._clearing_rows(A, b, z, cfg.tol_eq)
-    try:
-        equilibrium, evaluation = clr._equilibrium(A, b, z, rows, None, cfg)
-    except NoEquilibriumError:
-        if config.z_path is not None:
-            raise
-        # The minimizer may weight columns of strict-inequality rows; retry
-        # with the support-restricted solve on its equality rows.
-        z = clr._support(A, b, np.flatnonzero(rows[1]), cfg.tol_eq)
-        if z is None:
-            raise
-        rows = clr._clearing_rows(A, b, z, cfg.tol_eq)
-        equilibrium, evaluation = clr._equilibrium(A, b, z, rows, None, cfg)
-    _, equality = rows
-    check = clr._clearing_check(b, equilibrium.p.p, equality, ~equality, evaluation, cfg.verify_tol)
+    if result.objective is not None:
+        report["objective"] = _round12(result.objective)
+        report["full_clearing"] = result.full_clearing
+        lines.append(f"minimal excess objective: {result.objective:.12g}"
+                     + ("  (full clearing)" if result.full_clearing else ""))
     report.update({
         "z": _vec(equilibrium.z),
         "I": _indices(equilibrium.I_set),
@@ -649,18 +635,11 @@ def _cmd_report(config: ScenarioConfig):
         lines.append("balance identity does not hold; no further analysis")
         return EXIT_REJECTED, report, lines
     system = tax.perfect_tax(model, config.scale_b, profile=profile, tol=config.tol)
-    tax_report, tax_lines, price = _tax_report(config, model, system)
+    tax_report, tax_lines, price = _tax_report(
+        config, model, system, subsidize=summary["regime"] == RegimeKind.MIXED.value)
     tax_report.pop("command")
     report.update(tax_report)
     lines += tax_lines
-
-    if summary["regime"] == RegimeKind.MIXED.value:
-        # The perfect system is generated by z = x, so `price` is already the
-        # equilibrium for the subsidy floor of z = x.
-        subsidies = tax.subsidy_requirements(model, model.x, price)
-        report["subsidies"] = [[k + 1, _round12(v)] for k, v in subsidies]
-        lines += ["minimum subsidies:"]
-        lines += [f"  industry {k + 1}: {v:.12g}" for k, v in subsidies if v > 0]
 
     # Prices are scale-invariant in z, so the tax table's prices (z = x) are
     # the equilibrium prices of the clearing solution z = scale_b * x.  The

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_clearing_instance, random_simplex
 from iotax import (
+    ClearingMethod,
     ClearingProblem,
     PriceVector,
     alpha_from_solution,
@@ -15,6 +16,7 @@ from iotax import (
     ray_bounds,
     scale_function,
     solution_from_alpha,
+    solve_clearing,
     support_solution,
     verify_partial_clearing,
 )
@@ -452,6 +454,65 @@ def test_equilibrium_detects_misaligned_support():
     z = np.array([3.0, 0.5])  # A z = [1, 2] vs b = [1, 3]
     with pytest.raises(NoEquilibriumError):
         equilibrium_from_solution(A, np.array([1.0, 3.0]), z)
+
+
+def test_restricted_solve_failure_names_the_industry():
+    # A z = [1, 1] against b = [2, 1], so only row 1 clears, and there
+    # (A_II z_I) = A[1, 1] z[1] = 0, while (A z)[1] = 1.
+    with pytest.raises(NoEquilibriumError, match=r"\(A_II z_I\) at industry 1 is 0\.0,"):
+        equilibrium_from_solution([[1, 0], [1, 1]], [2, 1], [1, 0])
+
+
+def _same_equilibrium(a: ClearingEquilibrium, b: ClearingEquilibrium) -> bool:
+    return (a.I_set == b.I_set and a.R == b.R and np.array_equal(a.z, b.z)
+            and np.array_equal(a.p.p, b.p.p) and np.array_equal(a.p_u, b.p_u))
+
+
+def test_solve_clearing_reports_each_method():
+    # A given z; the minimal-excess z, which verifies; and the support
+    # retry, after the minimal-excess z = [1, 0] of the last case fails
+    # (see the test above): the restricted solve on I = [1] gives [0, 1].
+    given = solve_clearing(A_FIX, B_FIX, [0.0, 0.25])
+    assert given.method is ClearingMethod.GIVEN
+    assert _same_equilibrium(given.equilibrium,
+                             equilibrium_from_solution(A_FIX, B_FIX, [0.0, 0.25]))
+    assert (given.objective, given.full_clearing, given.kkt_residual,
+            given.qp_iterations) == (None, None, None, None)
+    assert given.check == verify_partial_clearing(A_FIX, B_FIX, given.equilibrium)
+    cases = [(A_FIX, B_FIX, ClearingMethod.MIN_EXCESS, [0.1, 0.2]),
+             ([[1.0, 0.0], [1.0, 1.0]], [2.0, 1.0], ClearingMethod.SUPPORT_RETRY, [0.0, 1.0])]
+    for A, b, method, z in cases:
+        result = solve_clearing(A, b)
+        family = min_excess_solution(ClearingProblem(C=A, b=b))
+        assert result.method is method
+        assert np.allclose(result.equilibrium.z, z, rtol=0, atol=1e-12)
+        assert (result.objective, result.full_clearing, result.kkt_residual,
+                result.qp_iterations) == (family.objective, family.full_clearing,
+                                          family.kkt_residual, family.qp_iterations)
+        retried = not np.array_equal(family.z, result.equilibrium.z)
+        assert retried == (method is ClearingMethod.SUPPORT_RETRY)
+        assert result.check == verify_partial_clearing(A, b, result.equilibrium)
+
+
+def test_solve_clearing_rejects_a_non_square_a():
+    with pytest.raises(DimensionError, match="square"):
+        solve_clearing([[1.0, 2.0]], [1.0])
+    with pytest.raises(DimensionError, match="square"):
+        solve_clearing([[1.0, 2.0]], [1.0], [0.5, 0.0])
+
+
+def test_solve_clearing_raises_when_both_candidates_fail():
+    # The minimal-excess z fails the demand check, and so does the
+    # support-restricted solve on its equality rows.
+    A, b = np.array([[2.0, 0.0], [1.0, 2.0]]), np.array([1.0, 3.0])
+    z = min_excess_solution(ClearingProblem(C=A, b=b)).z
+    retry = support_solution(A, b, np.flatnonzero(b - A @ z <= 1e-9 * b))
+    assert retry is not None
+    for candidate in (z, retry):
+        with pytest.raises(NoEquilibriumError, match="not satisfied"):
+            equilibrium_from_solution(A, b, candidate)
+    with pytest.raises(NoEquilibriumError, match="not satisfied"):
+        solve_clearing(A, b)
 
 
 def test_verify_rejects_perturbed_zero_price():

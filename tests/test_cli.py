@@ -354,6 +354,7 @@ def test_report_mixed_regime_includes_subsidies(tmp_path):
     report = json.loads(out.read_text())
     assert report["regime"] == "mixed"
     assert [1, 0.125] in report["subsidies"]
+    assert [[row["industry"], row["subsidy"]] for row in report["table"]] == report["subsidies"]
     assert report["excess_supply"] == pytest.approx(0.0, abs=1e-12)
 
 
