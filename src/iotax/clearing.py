@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from ._qp import solve_qp
-from .equilibrium import PriceVector, SolverConfig, _demand, _solve_price_balance
+from .equilibrium import PriceVector, SolverConfig, _demand, _row_band, _solve_price_balance
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -235,18 +235,11 @@ def alpha_from_solution(problem: ClearingProblem, z,
     Raises NotASolutionError unless z is nonnegative, nonzero, feasible,
     and touches at least one row with equality.
     """
-    z = _as_float_vector(z, "z", problem.l)
-    band = tol_eq * np.maximum(1.0, problem.b)
-    if np.any(z < -tol_eq * max(1.0, float(np.max(np.abs(z))))):
-        raise NotASolutionError("z has negative components")
+    z = _nonnegative_z(z, problem.l, tol_eq)
     if not np.any(z > 0):
         raise NotASolutionError("z is the zero vector")
-    slack = problem.b - problem.C @ z
-    if np.any(slack < -band):
-        raise NotASolutionError("z violates C z <= b")
-    if not np.any(slack <= band):
-        raise NotASolutionError("no row of C z = b holds with equality")
-    weights = np.maximum(z, 0.0) / problem.d
+    _clearing_rows(problem.C, problem.b, z, tol_eq)
+    weights = z / problem.d
     total = float(weights.sum())
     return weights / total, total
 
@@ -322,7 +315,7 @@ def _polish_min_norm(C, b, z, free, rows, tol_eq: float) -> np.ndarray:
     if float(np.min(candidate)) < -1e-11 * max(1.0, float(np.max(b))):
         return z
     candidate = np.maximum(candidate, 0.0)
-    if np.any(C @ candidate > b + tol_eq * np.maximum(1.0, b)):
+    if np.any(C @ candidate > b + _row_band(tol_eq, b)):
         return z
     old = b - C @ z
     new = b - C @ candidate
@@ -383,7 +376,7 @@ def _support(A, b, rows, tol_eq: float) -> np.ndarray | None:
     z[rows] = np.maximum(z_sub, 0.0)
     others = np.ones(n, dtype=bool)
     others[rows] = False
-    if np.any((b - A @ z)[others] <= tol_eq * np.maximum(1.0, b[others])):
+    if np.any((b - A @ z)[others] <= _row_band(tol_eq, b[others])):
         return None  # a row outside the support clears; not strict
     return z
 
@@ -446,10 +439,10 @@ def _nonnegative_z(z, n: int, tol_eq: float) -> np.ndarray:
 
 def _clearing_rows(A, b, z, tol_eq: float) -> tuple[np.ndarray, np.ndarray]:
     """Real consumption A z and the mask of the rows where it meets b within
-    the band ``tol_eq * max(1, b_k)``, for a nonnegative z; raises unless
-    A z <= b holds within the band with at least one row at equality."""
+    the band :func:`_row_band`, for a nonnegative z; raises unless A z <= b
+    holds within the band with at least one row at equality."""
     b_bar = A @ z
-    band = tol_eq * np.maximum(1.0, b)
+    band = _row_band(tol_eq, b)
     slack = b - b_bar
     if np.any(slack < -band):
         raise NotASolutionError("z violates A z <= b")
@@ -557,10 +550,10 @@ def _positive_b(b, n: int) -> np.ndarray:
 
 def _evaluate_rows(A, b, p, equality, tol) -> tuple[np.ndarray, np.ndarray, bool]:
     """Demand at prices ``p``, each row's verdict (an ``equality`` row clears
-    within the band ``tol * max(1, b_k)``, any other stays below it by more),
-    and whether every row passes with no supply value dropped at zero cost."""
+    within the band :func:`_row_band`, any other stays below it by more), and
+    whether every row passes with no supply value dropped at zero cost."""
     demand, degenerate = _demand(A, b, p)
-    band = tol * np.maximum(1.0, b)
+    band = _row_band(tol, b)
     row_ok = np.where(equality, np.abs(demand - b) <= band, b - demand > band)
     return demand, row_ok, bool(row_ok.all()) and not bool(degenerate.any())
 

@@ -9,7 +9,7 @@ significant digits.
 Exit codes: 0 success, 1 input errors (unreadable or malformed documents),
 2 domain rejections (the requested object does not exist for this data,
 e.g. a tax system that is not sustainable or a clearing solution without an
-equilibrium).  Industries are numbered from 1 in all output.
+equilibrium).  Reports and tables number industries from 1, messages from 0.
 """
 
 from __future__ import annotations
@@ -456,8 +456,7 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     """
     price = solve_price_balance(model.A, system.z, config.solver)
     accounts = tax.value_accounts(model, price)
-    scale = max(1.0, float(np.max(np.abs(accounts.X))))
-    classification = tax.classify_industries(accounts, tol=1e-9 * scale)
+    classification = tax._classify(accounts)
     subsidies = tax.subsidy_requirements(model, system.z, price) if subsidize else None
     rows = tax.industry_table(model, system, price, accounts, classification, subsidies)
     columns = {"pi": _vec(system.pi), "p": _vec(price.p), "delta": _vec(accounts.delta),
@@ -545,8 +544,7 @@ def _cmd_classify(config: ScenarioConfig):
     z = _equilibrium_inputs(config, model)
     price = solve_price_balance(model.A, z, config.solver)
     accounts = tax.value_accounts(model, price)
-    scale = max(1.0, float(np.max(np.abs(accounts.X))))
-    classification = tax.classify_industries(accounts, tol=1e-9 * scale)
+    classification = tax._classify(accounts)
     report = {
         "command": "classify",
         "p": _vec(price.p),

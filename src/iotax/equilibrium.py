@@ -317,7 +317,7 @@ def verify_clearing(A, x, tax, p, tol: float = 1e-9) -> list[ClearingReportRow]:
         k = int(np.flatnonzero(bad)[0])
         raise DegenerateInputError(f"zero cost denominator at industry {k} with positive demand")
 
-    cleared = np.abs(demand - supply) <= tol * np.maximum(1.0, supply)
+    cleared = np.abs(demand - supply) <= _row_band(tol, supply)
     violations = np.flatnonzero(~cleared & ~(demand < supply))
     if violations.size:
         worst = int(violations[np.argmax((demand - supply)[violations])])
@@ -340,3 +340,8 @@ def _demand(A, supply, p) -> tuple[np.ndarray, np.ndarray]:
     degenerate = (numerators > 0) & (costs <= 0)
     shares = np.divide(numerators, costs, out=np.zeros(A.shape[0]), where=costs > 0)
     return A @ shares, degenerate
+
+
+def _row_band(tol: float, b: np.ndarray) -> np.ndarray:
+    """Width of every clearing-row test: ``tol`` relative to max(1, b_k)."""
+    return tol * np.maximum(1.0, b)

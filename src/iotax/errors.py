@@ -94,5 +94,5 @@ class NoEquilibriumError(AnalysisError):
     """No equilibrium price vector exists for the given clearing solution."""
 
 
-class DegenerateSupportError(AnalysisError):
+class DegenerateSupportError(NotASolutionError):
     """The equality-row set is empty; no market clears."""

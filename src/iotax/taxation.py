@@ -38,7 +38,7 @@ from .errors import (
     ScaleRangeError,
 )
 from .matcheck import MatrixProfile, analyze_matrix, gated_solve
-from .model import DEFAULT_BALANCE_TOL, EconomyModel, RegimeKind, balance_residual, demand_regime
+from .model import DEFAULT_BALANCE_TOL, EconomyModel, RegimeKind, demand_regime
 from .model import _as_float_vector
 
 logger = logging.getLogger(__name__)
@@ -242,11 +242,11 @@ def perfect_tax(model: EconomyModel, scale_b: float | None = None, *,
     industries with negative final demand will need subsidies.
     """
     _require_irreducible_productive(model, profile)
-    scale = float(np.max(np.abs(model.x)))
-    if float(np.max(np.abs(balance_residual(model)))) > tol * scale:
+    regime = demand_regime(model, tol)
+    # On a productive A, INVALID means unbalanced: f < 0 in every good needs rho(A) > 1.
+    if regime.kind is RegimeKind.INVALID:
         raise BalanceError("gross output does not satisfy the output balance; "
                            "perfect taxation is defined only on balanced economies")
-    regime = demand_regime(model, tol)
     if regime.kind is RegimeKind.MIXED:
         logger.warning(
             "mixed demand regime: industries %s have negative final demand and "
@@ -339,6 +339,11 @@ def classify_industries(accounts: ValueAccounts, tol: float = 1e-9) -> IndustryC
     )
 
 
+def _classify(accounts: ValueAccounts, tol: float = 1e-9) -> IndustryClassification:
+    """:func:`classify_industries` at ``tol`` relative to max(1, max|X|)."""
+    return classify_industries(accounts, tol=tol * max(1.0, float(np.max(np.abs(accounts.X)))))
+
+
 def subsidy_requirements(model: EconomyModel, z, p) -> list[tuple[int, float]]:
     """Minimum subsidy per industry under the tax system generated by z.
 
@@ -424,8 +429,7 @@ def industry_table(model: EconomyModel, tax: TaxVector, p,
     if accounts is None:
         accounts = value_accounts(model, prices)
     if classification is None:
-        scale = max(1.0, float(np.max(np.abs(accounts.X))))
-        classification = classify_industries(accounts, tol=tol * scale)
+        classification = _classify(accounts, tol)
     amounts = dict(subsidies or [])
     columns = zip(tax.pi.tolist(), prices.tolist(), accounts.delta.tolist(),
                   accounts.Delta.tolist(), accounts.final_product.tolist(),

@@ -150,6 +150,18 @@ def test_alpha_from_solution_requires_equality_row():
         alpha_from_solution(COLLINEAR, [0.1, 0.1])  # C z = [0.3, 0.6] < b strictly
 
 
+def test_alpha_from_solution_rejects_as_the_equilibrium_does():
+    # The same checks, and messages, as a z given to solve_clearing.
+    for z, error, message in (([-0.1, 0.1], NotASolutionError, "z has negative components"),
+                              ([0.0, 0.0], NotASolutionError, "z is the zero vector"),
+                              ([1.0, 1.0], NotASolutionError, "z violates A z <= b"),
+                              ([0.1, 0.1], DegenerateSupportError,
+                               "no row of A z = b holds with equality")):
+        with pytest.raises(error, match=f"^{message}$"):
+            alpha_from_solution(COLLINEAR, z)
+    assert issubclass(DegenerateSupportError, NotASolutionError)
+
+
 def test_parametrization_roundtrip_random():
     rng = np.random.default_rng(53)
     for _ in range(40):

@@ -26,7 +26,9 @@ from iotax import (
 )
 from iotax.errors import (
     AllSubsidizedError,
+    BalanceError,
     ConditionViolationError,
+    DomainError,
     NoSubsidiesNeededError,
     NotIrreducibleError,
     ScaleRangeError,
@@ -117,6 +119,22 @@ def test_perfect_tax_e1(e1):
 def test_perfect_tax_e2(e2):
     tax = perfect_tax(e2, scale_b=1.0)
     assert np.allclose(tax.pi, [0.5, 0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_perfect_tax_rejects_a_bad_tolerance_before_the_balance_gate(e1, tol):
+    # The balance gate runs in demand_regime, which checks tol first: a
+    # balanced economy is not called unbalanced for want of a valid tol.
+    with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+        perfect_tax(e1, tol=tol)
+
+
+def test_perfect_tax_rejects_an_unbalanced_economy():
+    model = load_economy({"A": [[0.0, 0.5], [0.5, 0.0]], "x": [2.0, 2.0], "c": [1.0, 1.5],
+                          "e": [0.0, 0.0], "i": [0.0, 0.0]})
+    with pytest.raises(BalanceError, match="^gross output does not satisfy the output balance; "
+                                           "perfect taxation is defined only on balanced economies$"):
+        perfect_tax(model)
 
 
 def test_perfect_tax_scale_interval_mixed(subsidy_economy):
