@@ -29,7 +29,7 @@ import numpy as np
 
 from . import clearing as clr
 from . import taxation as tax
-from .equilibrium import SolverConfig, solve_price_balance
+from .equilibrium import SolverConfig, _solve_price_balance, solve_price_balance
 from .errors import AnalysisError, InputError, ParseError
 from .matcheck import MatrixProfile, analyze_matrix
 from .model import (
@@ -454,7 +454,8 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     The printed table formats the unrounded rows of
     :func:`taxation.industry_table` to 12 digits, which reads the same.
     """
-    price = solve_price_balance(model.A, system.z, config.solver)
+    # model.A is validated on load, and every caller's system.z is positive.
+    price = _solve_price_balance(model.A, system.z, config.solver)
     accounts = tax.value_accounts(model, price)
     classification = tax._classify(accounts)
     subsidies = tax.subsidy_requirements(model, system.z, price) if subsidize else None

@@ -117,14 +117,35 @@ def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
     return visited
 
 
+def _reaches_all(adjacency: np.ndarray) -> bool:
+    """Whether state 0 reaches every state in the digraph given by a boolean
+    matrix.  Each row is packed into an int, one bit per state, and each
+    reached state's row is merged into the reach set once."""
+    # packbits reads a transposed view about 5x slower than a copy of it.
+    packed = np.packbits(np.ascontiguousarray(adjacency), axis=1, bitorder="little")
+    everything = (1 << adjacency.shape[0]) - 1
+    reached = frontier = 1  # frontier: reached states whose row is not merged yet
+    while frontier:
+        lowest = frontier & -frontier
+        frontier ^= lowest
+        new = int.from_bytes(packed[lowest.bit_length() - 1], "little") & ~reached
+        reached |= new
+        if reached == everything:
+            return True
+        frontier |= new
+    return False
+
+
 def is_irreducible(A: np.ndarray) -> bool:
     """Strong connectivity of the digraph with an edge (i -> j) iff a_ij > 0.
 
-    Two reachability sweeps (forward and on the transpose graph); exact and
-    O(n + nnz) up to dense bookkeeping.
+    Exact: state 0 must reach every state, first in the graph and then in
+    its transpose.  Each sweep merges each reached state's packed row once,
+    so it costs O(n) operations on n-bit ints, O(n^2 / 64) word operations,
+    whatever the graph's diameter, after packing the n x n adjacency.
     """
     adjacency = A > 0
-    return bool(_reachable(adjacency, 0).all() and _reachable(adjacency.T, 0).all())
+    return _reaches_all(adjacency) and _reaches_all(adjacency.T)
 
 
 def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -339,9 +339,14 @@ def classify_industries(accounts: ValueAccounts, tol: float = 1e-9) -> IndustryC
     )
 
 
+def _value_scale(accounts: ValueAccounts) -> float:
+    """max(1, max|X|), the scale of the classification and value-balance bands."""
+    return max(1.0, float(np.max(np.abs(accounts.X))))
+
+
 def _classify(accounts: ValueAccounts, tol: float = 1e-9) -> IndustryClassification:
     """:func:`classify_industries` at ``tol`` relative to max(1, max|X|)."""
-    return classify_industries(accounts, tol=tol * max(1.0, float(np.max(np.abs(accounts.X)))))
+    return classify_industries(accounts, tol=tol * _value_scale(accounts))
 
 
 def subsidy_requirements(model: EconomyModel, z, p) -> list[tuple[int, float]]:
@@ -383,7 +388,7 @@ def value_balance_check(accounts: ValueAccounts, tol: float = 1e-9) -> ValueBala
     colsum = accounts.abar.sum(axis=0)
     residuals = accounts.abar @ accounts.X - colsum * accounts.X
     final_product_residuals = accounts.final_product - (1.0 - colsum) * accounts.X
-    scale = max(1.0, float(np.max(np.abs(accounts.X))))
+    scale = _value_scale(accounts)
     holds = bool(
         np.max(np.abs(residuals)) <= tol * scale
         and np.max(np.abs(final_product_residuals)) <= tol * scale

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
@@ -39,9 +39,10 @@ def test_analyze_unproductive_diagonal():
 @st.composite
 def digraphs(draw):
     """Edge matrices: arbitrary, a long cycle (maybe cut into a path), or
-    cycles joined only from earlier to later blocks, states permuted."""
+    cycles joined only from earlier to later blocks, states permuted.  Sizes
+    run past 64 states, so packed rows span more than one machine word."""
     kind = draw(st.sampled_from(["random", "cycle", "block-triangular"]))
-    n = draw(st.integers(1, 60 if kind == "cycle" else 20))
+    n = draw(st.integers(1, 200 if kind == "cycle" else 70))
     if kind == "random":
         return draw(arrays(np.bool_, (n, n)))
     order = np.array(draw(st.permutations(range(n))), dtype=int)
@@ -59,8 +60,17 @@ def digraphs(draw):
     return edges
 
 
+def _cycle_edges(n: int) -> np.ndarray:
+    return np.roll(np.eye(n, dtype=bool), 1, axis=1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
+@example(_cycle_edges(8))
+@example(_cycle_edges(9))
+@example(_cycle_edges(64))
+@example(_cycle_edges(65))
+@example(np.eye(65, k=1, dtype=bool))  # a path
 def test_irreducibility_and_strong_components_match_scipy(edges):
     from scipy.sparse import csgraph
 
@@ -73,6 +83,13 @@ def test_irreducibility_and_strong_components_match_scipy(edges):
     assert count == expected_count
     assert {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)} == \
         {frozenset(np.flatnonzero(expected == c).tolist()) for c in range(expected_count)}
+
+
+def test_irreducibility_of_a_long_cycle_and_of_it_cut():
+    edges = _cycle_edges(1000)
+    assert matcheck.is_irreducible(np.where(edges, 0.5, 0.0))
+    edges[999, 0] = False
+    assert not matcheck.is_irreducible(np.where(edges, 0.5, 0.0))
 
 
 def test_periodic_matrix_radius():
