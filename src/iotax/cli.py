@@ -564,7 +564,7 @@ def _cmd_classify(config: ScenarioConfig):
 
 def _cmd_subsidies(config: ScenarioConfig):
     model = load_economy(config.economy_path)
-    z = load_vector(config.z_path) if config.z_path is not None else model.x.copy()
+    z = _equilibrium_inputs(config, model)
     price = solve_price_balance(model.A, z, config.solver)
     subsidies = tax.subsidy_requirements(model, z, price)
     entry, lines = _subsidy_report(subsidies)

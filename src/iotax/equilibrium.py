@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, NotEquilibriumError
-from .matcheck import _reachable
+from .matcheck import closed_classes
 from .model import _as_float_matrix, _as_float_vector, _check_tol
 
 GTH_LEAF = 16  # larger blocks are halved and joined by matrix products
@@ -135,13 +135,8 @@ def _solve_price_balance(A: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> Pri
         p = share / share.sum()
     else:  # a closed class misses the last state: eliminate each one alone
         G = _chain(A, z, w)
-        edges = G < 0
-        count, labels = connected_components(edges)
-        leaves = (edges & (labels[:, np.newaxis] != labels[np.newaxis, :])).any(axis=1)
-        closed = np.bincount(labels, weights=leaves, minlength=count) == 0
         p = np.zeros(n)
-        for c in np.flatnonzero(closed):
-            states = np.flatnonzero(labels == c)
+        for states in closed_classes(G < 0):
             pi = _gth(G[np.ix_(states, states)])
             if pi is None:
                 raise ConvergenceError(
@@ -165,20 +160,6 @@ def _solve_price_balance(A: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> Pri
         p = p / p[0]
     return PriceVector(p=p, normalization=cfg.normalization,
                        lambda_residual=lam_res, fp_residual=fp_res)
-
-
-def connected_components(edges: np.ndarray) -> tuple[int, np.ndarray]:
-    """Strong components of the digraph with an edge (k -> i) where
-    ``edges[k, i]``: their count and each state's label.  The component of
-    the first unlabelled state is what it reaches and what reaches it, so
-    each component costs one forward and one backward sweep."""
-    labels = np.full(edges.shape[0], -1)
-    count = 0
-    for start in range(edges.shape[0]):
-        if labels[start] < 0:
-            labels[_reachable(edges, start) & _reachable(edges.T, start)] = count
-            count += 1
-    return count, labels
 
 
 def _chain(A: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Structural analysis of the direct-cost matrix.
 
 Covers the structural conditions the tax constructions rely on:
-irreducibility (strong connectivity of the digraph of positive entries),
-productivity (spectral radius below one), the Leontief inverse, and
-membership of a target vector in the cone spanned by the columns of
-A(E-A)^(-1).
+irreducibility (strong connectivity of the digraph of positive entries)
+and the closed classes of a reducible digraph, productivity (spectral
+radius below one), the Leontief inverse, and membership of a target
+vector in the cone spanned by the columns of A(E-A)^(-1).
 """
 
 from __future__ import annotations
@@ -104,36 +104,27 @@ def gated_solve(M: np.ndarray, rhs: np.ndarray, gate: float) -> GatedSolution:
     return GatedSolution(z=z, within_gate=float(np.max(np.abs(M @ z - rhs))) <= gate)
 
 
-def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
-    """Boolean reachability from ``start`` in the digraph given by a boolean matrix."""
-    n = adjacency.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    frontier = visited.copy()
-    while frontier.any():
-        # reached > visited: reached now, not visited before
-        frontier = adjacency[frontier].any(axis=0) > visited
-        visited |= frontier
-    return visited
-
-
-def _reaches_all(adjacency: np.ndarray) -> bool:
-    """Whether state 0 reaches every state in the digraph given by a boolean
-    matrix.  Each row is packed into an int, one bit per state, and each
-    reached state's row is merged into the reach set once."""
+def _pack(adjacency: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix, one bit per column, little-endian."""
     # packbits reads a transposed view about 5x slower than a copy of it.
-    packed = np.packbits(np.ascontiguousarray(adjacency), axis=1, bitorder="little")
-    everything = (1 << adjacency.shape[0]) - 1
-    reached = frontier = 1  # frontier: reached states whose row is not merged yet
-    while frontier:
+    return np.packbits(np.ascontiguousarray(adjacency), axis=1, bitorder="little")
+
+
+def _reach(packed: np.ndarray, start: int, within: int) -> int:
+    """The states of ``within`` (an int, one bit per state) that ``start``,
+    one of them, reaches through states of ``within``, in the digraph whose
+    rows :func:`_pack` gave.  Each reached state's row is merged into the
+    reach set at most once, and the sweep stops once all of ``within`` is
+    reached."""
+    frontier = 1 << start  # reached states whose row is not merged yet
+    unreached = within & ~frontier
+    while frontier and unreached:
         lowest = frontier & -frontier
         frontier ^= lowest
-        new = int.from_bytes(packed[lowest.bit_length() - 1], "little") & ~reached
-        reached |= new
-        if reached == everything:
-            return True
+        new = int.from_bytes(packed[lowest.bit_length() - 1], "little") & unreached
+        unreached ^= new
         frontier |= new
-    return False
+    return within & ~unreached
 
 
 def is_irreducible(A: np.ndarray) -> bool:
@@ -145,7 +136,33 @@ def is_irreducible(A: np.ndarray) -> bool:
     whatever the graph's diameter, after packing the n x n adjacency.
     """
     adjacency = A > 0
-    return _reaches_all(adjacency) and _reaches_all(adjacency.T)
+    everything = (1 << A.shape[0]) - 1
+    return (_reach(_pack(adjacency), 0, everything) == everything
+            and _reach(_pack(adjacency.T), 0, everything) == everything)
+
+
+def closed_classes(adjacency: np.ndarray) -> list[np.ndarray]:
+    """The closed classes (strong components that no edge leaves) of the
+    digraph with an edge (k -> i) where ``adjacency[k, i]``, each as its
+    states in increasing order, in the order of their first states.
+
+    The component of the first state not yet placed is what it reaches
+    (among all states) and what reaches it among the states not yet placed;
+    it is closed when what it reaches is the component itself.
+    """
+    forward, backward = _pack(adjacency), _pack(adjacency.T)
+    everything = unplaced = (1 << adjacency.shape[0]) - 1
+    classes = []
+    while unplaced:
+        start = (unplaced & -unplaced).bit_length() - 1
+        reached = _reach(forward, start, everything)
+        component = reached & _reach(backward, start, unplaced)
+        unplaced ^= component
+        if reached == component:
+            bits = component.to_bytes(forward.shape[1], "little")
+            classes.append(np.flatnonzero(np.unpackbits(
+                np.frombuffer(bits, dtype=np.uint8), bitorder="little")))
+    return classes
 
 
 def spectral_radius(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -91,6 +91,19 @@ def random_clearing_instance(rng: np.random.Generator, max_rows: int = 8,
     raise AssertionError("could not generate a clearing instance outside the cone")
 
 
+def scipy_closed_classes(edges: np.ndarray) -> list[list[int]]:
+    """The closed classes of the digraph with an edge (k -> i) where
+    ``edges[k, i]``, from scipy's strong components: those with no edge to
+    another component, each as its states in increasing order, in the order
+    of their first states."""
+    from scipy.sparse import csgraph
+
+    _, labels = csgraph.connected_components(edges, directed=True, connection="strong")
+    leaves = (edges & (labels[:, np.newaxis] != labels[np.newaxis, :])).any(axis=1)
+    return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels)
+                  if not leaves[labels == c].any())
+
+
 def random_simplex(rng: np.random.Generator, l: int, size: int | None = None) -> np.ndarray:
     """Uniform Dirichlet(1,...,1) draws on the unit simplex."""
     shape = (size, l) if size is not None else (l,)

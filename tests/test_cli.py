@@ -371,6 +371,19 @@ def test_subsidies_rejected_when_none_needed(tmp_path, e1_path, capsys):
     assert "no industry needs subsidies" in capsys.readouterr().err
 
 
+def test_subsidies_takes_z_from_the_rates(tmp_path, capsys):
+    # With --pi the generating vector is the z the rates sustain, as in
+    # classify: rates that fail the markup condition are rejected, and z > A z
+    # at sustainable rates leaves no industry in need of subsidies.
+    path = _write(tmp_path, "mixed.json", {"A": [[0, 0.5], [0.9, 0]], "x": [2, 1],
+                                           "c": [1.5, -0.8], "e": [0, 0], "i": [0, 0]})
+    for rates, message in (([0.3, 0.3], "markup condition z_i > (A z)_i fails at industries [0]"),
+                           ([0.75, 0.1], "no industry needs subsidies")):
+        pi = _write(tmp_path, "pi.json", rates)
+        assert main(["subsidies", "--economy", str(path), "--pi", str(pi)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_validate_rejects_unbalanced(tmp_path):
     path = _write(tmp_path, "bad.json", dict(E1_DOC, c=[2.0, 2.0]))
     assert main(["validate", "--economy", str(path)]) == 2
@@ -809,8 +822,8 @@ def test_every_command_runs_without_scipy(tmp_path, e1_path, monkeypatch):
 
     commands, clears = _every_command(tmp_path, e1_path)
     labelled = []
-    label = equilibrium.connected_components
-    monkeypatch.setattr(equilibrium, "connected_components",
+    label = equilibrium.closed_classes
+    monkeypatch.setattr(equilibrium, "closed_classes",
                         lambda *a: labelled.append(1) or label(*a))
     assert main(clears[2]) == 0 and labelled  # the reducible chain is labelled
     src = str(Path(iotax.__file__).resolve().parent.parent)

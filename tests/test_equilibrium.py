@@ -6,7 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import interior_generating_vector, random_irreducible_productive
+from conftest import (
+    interior_generating_vector,
+    random_irreducible_productive,
+    scipy_closed_classes,
+)
 from iotax import (
     Normalization,
     RowStatus,
@@ -230,6 +234,24 @@ def test_transient_industries_get_zero_price():
     assert np.allclose(price.p, [0.0, 0.5, 0.5], atol=1e-15)
 
 
+def test_reducible_chain_wider_than_a_word():
+    # Two closed 40-state cycles and 10 transient states that feed them:
+    # 90 states, so each packed row of the chain spans two 64-bit words.
+    A = np.zeros((90, 90))
+    for first in (0, 40):
+        cycle = np.arange(first, first + 40)
+        A[cycle, np.roll(cycle, -1)] = 0.5
+    rng = np.random.default_rng(90)
+    for k in range(80, 90):
+        A[k, rng.choice(80, size=3, replace=False)] = 0.3
+    for _ in range(5):
+        order = rng.permutation(90)
+        p = solve_price_balance(A[np.ix_(order, order)], np.ones(90)).p
+        cycles = order < 80
+        assert np.max(np.abs(p[cycles] - 1.0 / 80.0)) <= 1e-15
+        assert np.all(p[~cycles] == 0.0)
+
+
 def test_blocked_elimination_matches_single_state_steps(monkeypatch):
     # Halving down to 2 states exercises every triangular solve and product
     # of the blocked path against the plain one-state-at-a-time elimination.
@@ -301,9 +323,9 @@ def test_reducible_chains_in_every_state_order(monkeypatch, pattern, leaf):
     A[rows, cols] = rng.uniform(0.1, 1.0, size=len(rows))
     z = rng.uniform(0.5, 2.0, size=5)
     labelled = []
-    label = equilibrium.connected_components
+    label = equilibrium.closed_classes
     monkeypatch.setattr(equilibrium, "GTH_LEAF", leaf)
-    monkeypatch.setattr(equilibrium, "connected_components",
+    monkeypatch.setattr(equilibrium, "closed_classes",
                         lambda *a, **kw: labelled.append(1) or label(*a, **kw))
     expected_labels = 0
     for order in itertools.permutations(range(5)):
@@ -316,24 +338,14 @@ def test_reducible_chains_in_every_state_order(monkeypatch, pattern, leaf):
     assert len(labelled) == expected_labels
 
 
-def _partition(labels) -> set[frozenset[int]]:
-    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
-
-
 def test_strong_components_match_scipy():
-    from scipy.sparse import csgraph
-
-    from iotax.equilibrium import connected_components
+    from iotax.matcheck import closed_classes
 
     rng = np.random.default_rng(31)
     for _ in range(3000):
         n = int(rng.integers(1, 13))
         edges = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.5)
-        count, labels = connected_components(edges)
-        expected_count, expected = csgraph.connected_components(edges, directed=True,
-                                                                connection="strong")
-        assert count == expected_count
-        assert _partition(labels) == _partition(expected)
+        assert [c.tolist() for c in closed_classes(edges)] == scipy_closed_classes(edges)
 
 
 _REDUCIBLE_WITHOUT_SCIPY = """
@@ -342,8 +354,8 @@ sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import numpy as np
 from iotax import equilibrium
 labelled = []
-label = equilibrium.connected_components
-equilibrium.connected_components = lambda *a: labelled.append(1) or label(*a)
+label = equilibrium.closed_classes
+equilibrium.closed_classes = lambda *a: labelled.append(1) or label(*a)
 prices = [equilibrium.solve_price_balance(np.array(A), np.array(z)).p.tolist()
           for A, z in json.loads(sys.argv[1])]
 print(json.dumps({"prices": prices, "labelled": len(labelled)}))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
-from conftest import random_irreducible_productive
+from conftest import random_irreducible_productive, scipy_closed_classes
 from iotax import ConeRegion, analyze_matrix, cone_membership
 from iotax import matcheck
 from iotax.errors import ConvergenceError, DomainError, NotProductiveError, SingularSystemError
@@ -74,15 +74,9 @@ def _cycle_edges(n: int) -> np.ndarray:
 def test_irreducibility_and_strong_components_match_scipy(edges):
     from scipy.sparse import csgraph
 
-    from iotax.equilibrium import connected_components
-
-    expected_count, expected = csgraph.connected_components(edges, directed=True,
-                                                            connection="strong")
+    expected_count, _ = csgraph.connected_components(edges, directed=True, connection="strong")
     assert matcheck.is_irreducible(np.where(edges, 0.5, 0.0)) == (expected_count == 1)
-    count, labels = connected_components(edges)
-    assert count == expected_count
-    assert {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)} == \
-        {frozenset(np.flatnonzero(expected == c).tolist()) for c in range(expected_count)}
+    assert [c.tolist() for c in matcheck.closed_classes(edges)] == scipy_closed_classes(edges)
 
 
 def test_irreducibility_of_a_long_cycle_and_of_it_cut():
