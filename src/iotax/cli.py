@@ -75,8 +75,42 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _vec(arr) -> list[float]:
-    return [_round12(v) for v in np.asarray(arr, dtype=float).tolist()]
+class _Encoded(list):
+    """A list that carries the JSON text of its items, made with them:
+    ``texts`` is one text per float of a :func:`_vec` column, or, for the
+    rows of a :func:`_table`, each key's column of texts."""
+
+
+def _texts(items: list) -> list[str]:
+    """json's own text of each scalar in ``items``: one C encoder call,
+    split at its item separator, which no encoded scalar holds because
+    none holds a raw newline."""
+    return _encoder("\n").encode(items)[1:-1].split(",\n")
+
+
+def _vec(arr) -> _Encoded:
+    """A vector rounded to 12 significant digits, with the JSON text of
+    each value.  One ``{:.12}`` format rounds every value as ``.12g``
+    does, and each piece is already repr's text of its rounded float,
+    except where it shows ``e+`` (1e11 or more, where repr stays
+    positional below 1e16), ``e-3`` (subnormals among them, whose repr
+    can be shorter) or ``n`` (nan, inf): such a vector takes json's own
+    text."""
+    values = np.asarray(arr, dtype=float).tolist()
+    text = ("{:.12}\n" * len(values)).format(*values)
+    pieces = text.split()
+    column = _Encoded(map(float, pieces))
+    column.texts = _texts(column) if "e+" in text or "e-3" in text or "n" in text else pieces
+    return column
+
+
+def _table(columns: dict[str, list]) -> _Encoded:
+    """The rows of equal-length ``columns`` as dicts, carrying each
+    column's texts: a :func:`_vec` column's own, json's for the others."""
+    rows = _Encoded(dict(zip(columns, values)) for values in zip(*columns.values()))
+    rows.texts = {key: column.texts if type(column) is _Encoded else _texts(column)
+                  for key, column in columns.items()}
+    return rows
 
 
 def _indices(s) -> list[int]:
@@ -227,11 +261,12 @@ def _dumps(obj) -> str:
 
     A container whose items are all scalars is one C call whose item
     separator ends in the items' indent, plus its opener and closer lines.
-    So is a list of such containers, all dicts or all lists (``report``'s
-    ``table``, ``clear``'s ``rows``): the C text is split where one item
+    So is a list of such containers, all dicts or all lists (``clear``'s
+    ``rows``, ``subsidies``): the C text is split where one item
     closes and the next opens, which only the separator between them can
-    match, because no encoded string holds a raw newline.  Only the rest
-    recurses.
+    match, because no encoded string holds a raw newline.  A
+    :class:`_Encoded` list is joined from the texts it carries.  Only the
+    rest recurses.
     """
     out: list[str] = []
     _dump(obj, "\n", out)
@@ -254,6 +289,17 @@ def _dump(obj, newline: str, out: list[str]) -> None:
     """Append the text of ``obj``, whose first line is already indented and
     whose later lines start with ``newline``, to ``out``."""
     inner = newline + "  "
+    if type(obj) is _Encoded and obj:
+        texts = obj.texts
+        if type(texts) is dict:  # a table: every row from one template
+            deep = inner + "  "
+            keys = sorted(texts)
+            row = ("{" + deep + ("," + deep).join(
+                json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                for key in keys) + inner + "}")
+            texts = [row % cells for cells in zip(*[texts[key] for key in keys])]
+        out += "[", inner, ("," + inner).join(texts), newline, "]"
+        return
     flat = _brackets(obj)
     if flat:
         text = _encoder(inner).encode(obj)
@@ -448,11 +494,12 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
     """Report and table of a tax system, with the equilibrium prices for its
     z and, if ``subsidize``, the minimum subsidies for z in both.
 
-    The report's vectors are rounded to 12 significant digits once, and its
-    ``table`` rows take their rates, prices and value accounts from those
-    rounded vectors; only each row's gap and subsidy are rounded there.
-    The printed table formats the unrounded rows of
-    :func:`taxation.industry_table` to 12 digits, which reads the same.
+    Each vector is rounded to 12 significant digits once, by :func:`_vec`,
+    which also makes its JSON text.  The ``table`` rows take their rates,
+    prices, value accounts, gaps and subsidies from such columns, and the
+    writer fills the rows' JSON from the column texts.  The printed table
+    formats the unrounded rows of :func:`taxation.industry_table` to 12
+    digits, which reads the same.
     """
     # model.A is validated on load, and every caller's system.z is positive.
     price = _solve_price_balance(model.A, system.z, config.solver)
@@ -471,9 +518,12 @@ def _tax_report(config: ScenarioConfig, model: EconomyModel, system: tax.TaxVect
         "classification_I": _indices(classification.I_set),
         "classification_J": _indices(classification.J_set),
         "signature": list(classification.signature),
-        "table": [dict(row, pi=pi, price=p, delta=delta, Delta=Delta, final_product=final,
-                       gap=_round12(row["gap"]), subsidy=_round12(row["subsidy"]))
-                  for row, pi, p, delta, Delta, final in zip(rows, *columns.values())],
+        "table": _table({
+            "industry": [row["industry"] for row in rows], "pi": columns["pi"],
+            "price": columns["p"], "delta": columns["delta"], "Delta": columns["Delta"],
+            "final_product": columns["final_product"], "gap": _vec(classification.gaps),
+            "class": [row["class"] for row in rows],
+            "subsidy": _vec([row["subsidy"] for row in rows])}),
     }
     lines = [f"tax system ({system.provenance.value}), scale_b = {system.scale_b:.12g}"]
     lines += _table_lines(rows)

@@ -118,6 +118,10 @@ def _solve_price_balance(A: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> Pri
     if not np.any(A > 0):
         raise DomainError("cost matrix must be nonzero")
     n = A.shape[0]
+    # Prices depend on z only through z / (A z): scale z by the power of two
+    # that puts its largest entry in [0.5, 1), exactly, so that neither A z
+    # nor pi / (A z) leaves the floating-point range on account of z's units.
+    z = np.ldexp(z, -np.frexp(z.max())[1])
     with np.errstate(over="ignore"):
         w = A @ z
     if not np.all(np.isfinite(w)):

@@ -499,24 +499,47 @@ def test_table_cells_are_formatted_as_by_format_spec(cells):
     assert cli._table_lines(rows) == expected
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+# Every double, and the values where the rounding format's text and json's
+# differ: 1e11 and up (exponent against positional), subnormals, nan and
+# the infinities; and values around where either text switches notation.
+_EDGES = [1e-5, 1e-4, 1e11, 1e12, 1e16]
+_DOUBLE = (st.floats()
+           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310,
+                              2.2250738585072014e-308, *_EDGES, *(-v for v in _EDGES)])
+           | st.floats(-2.3e-308, 2.3e-308)
+           | st.sampled_from(_EDGES).flatmap(lambda v: st.floats(v * 0.999, v * 1.001))
+           | st.sampled_from(_EDGES).flatmap(lambda v: st.floats(-v * 1.001, -v * 0.999)))
+
+
+@given(st.lists(_DOUBLE, max_size=8))
 def test_rounded_vectors_keep_twelve_significant_digits(values):
-    assert cli._vec(np.array(values)) == [float(f"{v:.12g}") for v in values]
+    column = cli._vec(np.array(values))
+    expected = [float(f"{v:.12g}") for v in values]
+    assert len(column) == len(expected)
+    assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(column, expected))
+    # Each value carries json's text of it, the sign of a zero included.
+    assert column.texts == [json.dumps(v) for v in column]
 
 
 # Strings that an encoder splitting at item seams could mistake for one.
 _TRICKY_TEXT = st.lists(st.sampled_from(['"', "\\", "\n", "é", "中", "\U0001f600", "},", "],", "{", "[",
-                                         ",\n    {", ": "]) | st.text(max_size=3),
+                                         ",\n    {", ": ", "%", "%s"]) | st.text(max_size=3),
                         max_size=4).map("".join)
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200),
                     st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]),
                     _TRICKY_TEXT)
 _KEY = _TRICKY_TEXT | st.sampled_from(["pi", "p", "gap", "class"])
 _FLAT = st.lists(_SCALAR, max_size=4) | st.dictionaries(_KEY, _SCALAR, max_size=4)
+_COLUMN = st.lists(_DOUBLE, max_size=4).map(cli._vec)  # a rounded vector and its texts
+# Rows built as report's table is: rounded columns beside ints, strings and
+# other scalars, each column carrying its texts.
+_TABLE = st.integers(0, 4).flatmap(lambda rows: st.dictionaries(
+    _KEY, st.lists(_DOUBLE, min_size=rows, max_size=rows).map(cli._vec)
+    | st.lists(_SCALAR, min_size=rows, max_size=rows), min_size=1, max_size=5)).map(cli._table)
 _TREE = st.recursive(
-    _SCALAR | _FLAT,
+    _SCALAR | _FLAT | _COLUMN | _TABLE,
     lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEY, children, max_size=5)
-    | st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)  # like report's table
+    | st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)  # like clear's rows
     | st.lists(st.lists(_SCALAR, max_size=3), max_size=4)  # like subsidies
     | st.lists(_FLAT, max_size=4),
     max_leaves=30)
@@ -552,6 +575,21 @@ def test_out_is_the_indented_sorted_json_of_the_report(tmp_path, e1_path, capsys
         stem = path.name.removesuffix(".report.json")
         _, report = cli.run(cli.ScenarioConfig(scenarios / f"{stem}.json"))
         assert path.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    capsys.readouterr()
+
+
+def test_report_in_units_of_1e12_is_its_own_canonical_encoding(tmp_path, capsys):
+    # Delta and the final product are 5e11: rounded, their text shows an
+    # exponent that json's does not, so those columns take json's text.
+    doc = dict(E1_DOC, x=[2e12, 2e12], c=[1e12, 1e12])
+    out = tmp_path / "out.json"
+    assert main(["report", "--economy", str(_write(tmp_path, "e1.json", doc)),
+                 "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["Delta"] == report["final_product"] == [5e11, 5e11]
+    assert [row["Delta"] for row in report["table"]] == [5e11, 5e11]
     capsys.readouterr()
 
 
@@ -1004,16 +1042,20 @@ def test_boundary_errors_exit_1_with_one_line(tmp_path, e1_path, capsys, case):
 UNDERFLOW_DOC = {"A": [[0.0, 0.5, 5e-201], [5e-201, 0.5, 0.0], [0.0, 0.5, 0.0]],
                  "x": [1.0, 1.0, 1.0], "c": [0.5, 0.5, 0.5],
                  "e": [0.0, 0.0, 0.0], "i": [0.0, 0.0, 0.0]}
-# A row sum above one: A z overflows at z near the largest double.
+# A row sum above one.
 WIDE_DOC = {"A": [[0.6, 0.6], [0.1, 0.1]], "x": [10.0, 10.0], "c": [-2.0, 8.0],
             "e": [0.0, 0.0], "i": [0.0, 0.0]}
+# A row of three entries of 1e308: A z overflows at any z, however scaled.
+HUGE_ROW_DOC = {"A": [[1e308, 1e308, 1e308], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]],
+                "x": [1.0, 1.0, 1.0], "c": [1.0, 1.0, 1.0],
+                "e": [0.0, 0.0, 0.0], "i": [0.0, 0.0, 0.0]}
 
 
 @pytest.mark.parametrize("case", ["overflowing-cost", "underflowing-elimination"])
 def test_numeric_breakdowns_exit_2_with_one_line(tmp_path, capsys, case):
     if case == "overflowing-cost":
-        argv = ["classify", "--economy", _write(tmp_path, "wide.json", WIDE_DOC),
-                "--z", _write(tmp_path, "z.json", [1.79e308, 1.79e308])]
+        argv = ["classify", "--economy", _write(tmp_path, "huge.json", HUGE_ROW_DOC),
+                "--z", _write(tmp_path, "z.json", [1.9, 1.9, 1.9])]
         message = "overflows"
     else:
         argv = ["report", "--economy", _write(tmp_path, "under.json", UNDERFLOW_DOC)]
@@ -1023,6 +1065,21 @@ def test_numeric_breakdowns_exit_2_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("rejected: ") and message in captured.err
+
+
+@pytest.mark.parametrize("doc, z", [(E1_DOC, 1e-310), (E1_DOC, 1.79e308), (WIDE_DOC, 1e-310),
+                                    (WIDE_DOC, 1.79e308)],
+                         ids=["e1-tiny", "e1-huge", "wide-tiny", "wide-huge"])
+@pytest.mark.filterwarnings("error")
+def test_prices_do_not_depend_on_the_scale_of_z(tmp_path, doc, z):
+    # Prices depend on z only through z / (A z), so a z of subnormal or
+    # near-overflow entries gets the answer of z = [1, 1], with no warning.
+    economy = _write(tmp_path, "economy.json", doc)
+    results = [_run_main(["classify", "--economy", str(economy),
+                          "--z", str(_write(tmp_path, "z.json", [scale, scale]))])
+               for scale in (z, 1.0)]
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2] == ""
 
 
 E1_UNBALANCED_DOC = dict(E1_DOC, c=[1.2, 1.0])  # balance residual 0.2 in industry 0
